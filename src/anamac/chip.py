@@ -144,10 +144,16 @@ class SynapseArray:
             raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
         self.weights = weights.astype(np.int8)
 
-    def mac(self, x: np.ndarray, params: HwParams, rng: np.random.Generator) -> np.ndarray:
+    def mac(
+        self, x: np.ndarray, params: HwParams, rng: np.random.Generator, cols: int = COLS
+    ) -> np.ndarray:
         """Analog multiply-accumulate of one input vector or a (batch, 256) block.
 
         y = clamp(round(g * x @ (W * fixed_gain) + offset + noise), -128, 127)
+
+        Only the first ``cols`` neurons are digitised: the simulator computes
+        and draws temporal noise for the columns a tile uses, and returns 0 for
+        columns >= ``cols``. The result keeps the full 256-column width.
         """
         x = np.asarray(x)
         single = x.ndim == 1
@@ -156,14 +162,18 @@ class SynapseArray:
             raise InputOutOfRange(f"input width {x2.shape[1]}, expected {ROWS}")
         if x2.dtype != np.uint8 or x2.max(initial=0) > INPUT_MAX:
             raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
+        if not 1 <= cols <= COLS:
+            raise ValueError(f"cols must lie in [1, {COLS}], got {cols}")
 
-        effective = self.weights.astype(np.float64) * self.fixed_gain
+        effective = self.weights[:, :cols] * self.fixed_gain[:, :cols]
         acc = x2.astype(np.float64) @ effective
         sigma = self.config.sigma_temporal / math.sqrt(params.num_sends)
         noise = sigma * rng.standard_normal(acc.shape) if sigma > 0 else 0.0
-        y = round_half_away(self.config.gain * acc + self.neuron_offset + noise)
-        y = np.clip(y, OUTPUT_MIN, OUTPUT_MAX).astype(np.int8)
-        return y[0] if single else y
+        y = round_half_away(self.config.gain * acc + self.neuron_offset[:cols] + noise)
+        out = np.zeros((x2.shape[0], COLS), dtype=np.int8)
+        # clip and cast before the copy: casting float64 on assignment costs memory
+        out[:, :cols] = np.clip(y, OUTPUT_MIN, OUTPUT_MAX).astype(np.int8)
+        return out[0] if single else out
 
     def acquire(self, holder) -> None:
         self.lock.acquire()

@@ -373,7 +373,7 @@ class Executor:
         array.acquire(inst.id)
         try:
             array.configure(padded_w)
-            y = array.mac(padded_x, hw_params, rng)
+            y = array.mac(padded_x, hw_params, rng, cols)
         finally:
             array.release(inst.id)
         values[store.id] = y[:, :cols]
@@ -443,7 +443,7 @@ class Executor:
             array.acquire(iid)
             try:
                 array.configure(padded_w)
-                y = array.mac(padded_x, hw_params, rng)
+                y = array.mac(padded_x, hw_params, rng, cols)
             finally:
                 array.release(iid)
             exec_e = time.perf_counter() - t0

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .chip import COLS, ROWS, HwParams
 
 
 class VertexKind(str, Enum):
@@ -210,8 +212,6 @@ def validate(graph: DependencyGraph) -> list:
             problems.append(f"MalformedInstance: instance {inst.id} does not end in a store")
 
     # width compatibility: synapse block fits the physical array
-    from .chip import COLS, ROWS
-
     for v in graph.vertices.values():
         if v.kind is VertexKind.SYNAPSE_MATRIX and v.payload is not None:
             block = np.asarray(v.payload.get("weights"))
@@ -265,6 +265,8 @@ def _payload_to_json(payload):
     for key, value in payload.items():
         if isinstance(value, np.ndarray):
             out[key] = {"__ndarray__": value.dtype.str, "values": value.tolist()}
+        elif isinstance(value, HwParams):
+            out[key] = {"__hw_params__": asdict(value)}
         else:
             out[key] = value
     return out
@@ -277,6 +279,8 @@ def _payload_from_json(payload):
     for key, value in payload.items():
         if isinstance(value, dict) and "__ndarray__" in value:
             out[key] = np.array(value["values"], dtype=np.dtype(value["__ndarray__"]))
+        elif isinstance(value, dict) and "__hw_params__" in value:
+            out[key] = HwParams(**value["__hw_params__"])
         else:
             out[key] = value
     return out

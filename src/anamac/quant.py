@@ -56,7 +56,7 @@ class QuantizedOperands:
 
 def round_half_away(values: np.ndarray) -> np.ndarray:
     """Round to nearest with ties going away from zero."""
-    return np.sign(values) * np.floor(np.abs(values) + 0.5)
+    return np.trunc(values + np.copysign(0.5, values))
 
 
 def quantize_inputs(x, spec: QuantSpec) -> np.ndarray:

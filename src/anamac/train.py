@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lowering
 from .chip import ChipConfig, HwParams
-from .executor import Executor, SimulatedChips
+from .executor import Executor, SimulatedChips, global_resources
 from .partition import build_graph, partition_matmul
 from .quant import (
     OUTPUT_MAX,
@@ -60,16 +60,10 @@ class ForwardContext:
     """Per-step execution settings shared by all layers of one forward pass."""
 
     backend: str = "software"  # software | chip
-    resources: SimulatedChips | None = None
+    resources: SimulatedChips | None = None  # None: the chip backend uses global_resources()
     noise_lsb: float = 0.0  # software-model Gaussian output noise, output LSB
     rng: np.random.Generator | None = None
     seed_salt: int = 0  # decorrelates chip temporal noise across steps
-
-
-def _gain(ctx: ForwardContext) -> float:
-    if ctx.resources is not None:
-        return ctx.resources.config.gain
-    return ChipConfig().gain
 
 
 def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
@@ -79,7 +73,10 @@ def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
     the dequantized outputs for the backward pass.
     """
     w = layer.weights
-    gain = _gain(ctx)
+    resources = ctx.resources
+    if resources is None and ctx.backend == "chip":
+        resources = global_resources()  # one pool, so the fixed pattern persists across calls
+    gain = resources.config.gain if resources is not None else ChipConfig().gain
     spec = QuantSpec(
         input_scale=input_scale_for(x),
         weight_scale=weight_scale_for(w),
@@ -90,14 +87,14 @@ def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
     wq = quantize_weights(w, spec)
 
     if ctx.backend == "software":
-        acc = xq.astype(np.int64) @ wq.astype(np.int64)
+        # float64 BLAS is exact here: |acc| <= 31 * 63 * N stays far below 2**53
+        acc = xq.astype(np.float64) @ wq.astype(np.float64)
         analog = gain * acc
         if ctx.noise_lsb > 0:
             rng = ctx.rng or np.random.default_rng()
             analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
         y8 = np.clip(round_half_away(analog), OUTPUT_MIN, OUTPUT_MAX).astype(np.int8)
     elif ctx.backend == "chip":
-        resources = ctx.resources if ctx.resources is not None else SimulatedChips(1)
         plan = partition_matmul(w.shape[0], w.shape[1], signed=True, arrays=resources.array_bindings())
         graph = build_graph(plan, wq, xq, hw_params=getattr(layer, "hw_params", None))
         outputs, _ = Executor(resources, seed_salt=ctx.seed_salt).run(graph)

@@ -82,6 +82,61 @@ def test_mac_rejects_bad_inputs():
         array.mac(np.full((1, ROWS), 32, dtype=np.uint8), HwParams(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("cols", [1, 16, 255, 256])
+def test_live_column_mac_matches_full_width_when_noise_free(cols):
+    rng = np.random.default_rng(cols)
+    array = SynapseArray(NOISELESS, 0)
+    w = np.zeros((ROWS, COLS), dtype=np.int8)
+    w[:, :cols] = rng.integers(-3, 4, size=(ROWS, cols))
+    x = rng.integers(0, 4, size=(5, ROWS)).astype(np.uint8)
+    array.configure(w)
+    live = array.mac(x, HwParams(), np.random.default_rng(0), cols=cols)
+    full = array.mac(x, HwParams(), np.random.default_rng(0))
+    exact = np.clip(x.astype(np.int64) @ w[:, :cols].astype(np.int64), -128, 127)
+    assert live.shape == (5, COLS) and live.dtype == np.int8
+    assert np.array_equal(live[:, :cols], full[:, :cols])
+    assert np.array_equal(live[:, :cols], exact)
+    assert not live[:, cols:].any()
+
+
+@pytest.mark.parametrize("cols", [0, COLS + 1])
+def test_mac_rejects_cols_outside_the_array(cols):
+    array = SynapseArray(NOISELESS, 0)
+    with pytest.raises(ValueError):
+        array.mac(np.zeros((1, ROWS), dtype=np.uint8), HwParams(), np.random.default_rng(0), cols=cols)
+
+
+def _written_out_mac(array, x, params, rng, cols):
+    """The analog model spelled out, temporal noise drawn for ``cols`` columns."""
+    cfg = array.config
+    acc = x.astype(np.float64) @ (array.weights.astype(np.float64) * array.fixed_gain)[:, :cols]
+    noise = cfg.sigma_temporal / np.sqrt(params.num_sends) * rng.standard_normal((x.shape[0], cols))
+    v = cfg.gain * acc + array.neuron_offset[:cols] + noise
+    return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -128, 127).astype(np.int8)
+
+
+def test_default_width_mac_keeps_the_noise_stream():
+    rng = np.random.default_rng(4)
+    array = SynapseArray(ChipConfig(chip_seed=9), 1)
+    array.configure(rng.integers(-63, 64, size=(ROWS, COLS)).astype(np.int8))
+    x = rng.integers(0, 32, size=(7, ROWS)).astype(np.uint8)
+    params = HwParams(num_sends=2)
+    y = array.mac(x, params, np.random.default_rng(11))
+    assert np.array_equal(y, _written_out_mac(array, x, params, np.random.default_rng(11), COLS))
+
+
+def test_live_column_mac_draws_noise_for_live_columns_only():
+    rng = np.random.default_rng(5)
+    array = SynapseArray(ChipConfig(chip_seed=9), 0)
+    w = np.zeros((ROWS, COLS), dtype=np.int8)
+    w[:, :16] = rng.integers(-63, 64, size=(ROWS, 16))
+    array.configure(w)
+    x = rng.integers(0, 32, size=(7, ROWS)).astype(np.uint8)
+    y = array.mac(x, HwParams(), np.random.default_rng(11), cols=16)
+    assert np.array_equal(y[:, :16], _written_out_mac(array, x, HwParams(), np.random.default_rng(11), 16))
+    assert not y[:, 16:].any()
+
+
 def test_fixed_pattern_noise_is_reproducible_per_seed():
     cfg = ChipConfig(chip_seed=42)
     a1 = SynapseArray(cfg, 0)

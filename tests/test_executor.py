@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anamac import graph as g
-from anamac.chip import ChipConfig
+from anamac.chip import SIGNED_ROWS, ChipConfig
 from anamac.executor import (
     Executor,
     InstanceCost,
@@ -144,6 +144,29 @@ def test_outputs_independent_of_worker_count():
         results.append(next(iter(out.values())))
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], results[2])
+
+
+def _tiled_oracle(x, w, div):
+    """Per-tile digitisation (round half away of acc / div, clamp), then clamped ADD."""
+    total = np.zeros((x.shape[0], w.shape[1]), dtype=np.int64)
+    for r0 in range(0, w.shape[0], SIGNED_ROWS):
+        acc = x[:, r0 : r0 + SIGNED_ROWS].astype(np.int64) @ w[r0 : r0 + SIGNED_ROWS].astype(np.int64)
+        total += np.clip(np.sign(acc) * ((np.abs(acc) + div // 2) // div), -128, 127)
+    return np.clip(total, -128, 127)
+
+
+@pytest.mark.parametrize("mode", ["simulated_time", "measured_time"])
+def test_narrow_signed_tile_is_bit_exact(mode):
+    """The HAR conv shape (288 x 16, signed) uses 16 of 256 columns per tile."""
+    rng = np.random.default_rng(6)
+    res = SimulatedChips(2, ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1 / 64))
+    w = rng.integers(-63, 64, size=(288, 16)).astype(np.int8)
+    x = rng.integers(0, 32, size=(9, 288)).astype(np.uint8)
+    x[:, rng.random(288) < 0.7] = 0  # some unsaturated tiles beside saturated ones
+    plan = partition_matmul(288, 16, signed=True, arrays=res.array_bindings())
+    (y,) = Executor(res).run(build_graph(plan, w, x), mode=mode)[0].values()
+    assert len(plan.tiles) == 3
+    assert np.array_equal(y, _tiled_oracle(x, w, 64))
 
 
 def test_noise_depends_on_instance_not_schedule():

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from anamac import graph as g
+from anamac.chip import ChipConfig, HwParams
+from anamac.executor import Executor, SimulatedChips
+from anamac.partition import build_graph, partition_matmul
 
 
 def _chain(builder, data=None, source=None, binding=(0, 0), instance_id=None):
@@ -108,6 +111,21 @@ def test_json_roundtrip_preserves_payload_arrays():
     w0 = graph.vertices[1].payload["weights"]
     w1 = restored.vertices[1].payload["weights"]
     assert w1.dtype == w0.dtype and np.array_equal(w0, w1)
+
+
+def test_json_roundtrip_of_a_partitioner_graph_executes_the_same():
+    rng = np.random.default_rng(4)
+    w = rng.integers(-63, 64, size=(300, 270)).astype(np.int8)
+    x = rng.integers(0, 32, size=(3, 300)).astype(np.uint8)
+    res = SimulatedChips(2, ChipConfig(chip_seed=1))
+    plan = partition_matmul(300, 270, signed=True, arrays=res.array_bindings())
+    graph = build_graph(plan, w, x, hw_params=HwParams(num_sends=3))
+    restored = g.from_json(g.to_json(graph))
+    matrix = next(v for v in restored.vertices.values() if v.kind is g.VertexKind.SYNAPSE_MATRIX)
+    assert matrix.payload["hw_params"] == HwParams(num_sends=3)
+    (y,) = Executor(res).run(graph)[0].values()
+    (y_restored,) = Executor(res).run(restored)[0].values()
+    assert np.array_equal(y, y_restored)
 
 
 def test_external_load_takes_no_inputs():

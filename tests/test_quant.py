@@ -37,6 +37,23 @@ def test_round_half_away_symmetry(v):
     assert round_half_away(np.array([-v]))[0] == -round_half_away(np.array([v]))[0]
 
 
+def _round_half_away_reference(v):
+    return np.sign(v) * np.floor(np.abs(v) + 0.5)
+
+
+_ROUNDING_EDGES = [
+    0.5, 1.5, 2.5, 0.0, 0.49999999999999994, 2.0**52 - 0.5, 2.0**52 + 1, 1e300,
+    np.finfo(np.float64).max, np.inf, np.nan,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8))
+def test_round_half_away_equals_the_sign_floor_formula(values):
+    v = np.array(values + _ROUNDING_EDGES + [-e for e in _ROUNDING_EDGES], dtype=np.float64)
+    assert np.array_equal(round_half_away(v), _round_half_away_reference(v), equal_nan=True)
+
+
 def test_quantize_inputs_clamps_to_u5():
     spec = QuantSpec()
     q = quantize_inputs(np.array([-5.0, 0.0, 14.5, 31.4, 99.0]), spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anamac.chip import ChipConfig
-from anamac.executor import SimulatedChips
+from anamac.executor import SimulatedChips, global_resources, reset_resources
 from anamac.train import (
     HAR_SIGNALS,
     Conv1dLayer,
@@ -54,15 +54,17 @@ class _Bare:
 
 def test_software_forward_is_clamped_quantized_matmul():
     rng = np.random.default_rng(0)
-    w = rng.integers(-10, 11, size=(6, 4)).astype(np.float32)
-    w[0, 0] = 63.0  # pins weight_scale to 1
-    x = rng.integers(0, 5, size=(3, 6)).astype(np.float32)
-    x[0, 0] = 31.0  # pins input_scale to 1
-    ctx = ForwardContext(resources=SimulatedChips(1, EXACT))
-    y, state = matmul_forward(x, _Bare(w), ctx)
-    ref = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127).astype(np.float32)
-    assert np.array_equal(y, ref)
-    assert np.array_equal(state["x"], x)
+    # a small case, and the HAR conv's 288 rows at the full input and weight range
+    for n, m, w_max, x_max in ((6, 4, 10, 4), (288, 16, 63, 31)):
+        w = rng.integers(-w_max, w_max + 1, size=(n, m)).astype(np.float32)
+        w[0, 0] = 63.0  # pins weight_scale to 1
+        x = rng.integers(0, x_max + 1, size=(3, n)).astype(np.float32)
+        x[0, 0] = 31.0  # pins input_scale to 1
+        ctx = ForwardContext(resources=SimulatedChips(1, EXACT))
+        y, state = matmul_forward(x, _Bare(w), ctx)
+        ref = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127).astype(np.float32)
+        assert np.array_equal(y, ref)
+        assert np.array_equal(state["x"], x)
 
 
 def test_chip_forward_matches_software_when_noiseless():
@@ -80,6 +82,20 @@ def test_chip_forward_matches_software_when_noiseless():
     y_sw, _ = matmul_forward(x, _Bare(w), ForwardContext(backend="software", resources=res))
     y_hw, _ = matmul_forward(x, _Bare(w), ForwardContext(backend="chip", resources=res))
     assert np.array_equal(y_sw, y_hw)
+
+
+def test_chip_forward_without_resources_reuses_the_global_pool():
+    reset_resources()
+    try:
+        rng = np.random.default_rng(3)
+        layer = _Bare(rng.standard_normal((40, 8)).astype(np.float32))
+        x = rng.random((2, 40)).astype(np.float32)
+        y1, _ = matmul_forward(x, layer, ForwardContext(backend="chip"))
+        y2, _ = matmul_forward(x, layer, ForwardContext(backend="chip"))
+        assert global_resources().init_count == 1
+        assert np.array_equal(y1, y2)  # same fixed pattern, same noise salt
+    finally:
+        reset_resources()
 
 
 def test_forward_rejects_unknown_backend():
