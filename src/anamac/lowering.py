@@ -207,8 +207,7 @@ def pack_expanded_matrix(plan: ExpansionPlan, per_copy_matrices) -> np.ndarray:
 
 
 def _default_mac(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    # float64 BLAS on integer operands is exact while |acc| < 2**53
-    return vectors.astype(np.float64) @ matrix.astype(np.float64)
+    return vectors.astype(np.int64) @ matrix.astype(np.int64)
 
 
 def execute_expanded(plan: ExpansionPlan, per_copy_matrices, x, mac_fn=_default_mac) -> np.ndarray:
