@@ -16,7 +16,6 @@ from .chip import (
     ChipConfig,
     HwParams,
     SynapseArray,
-    analog_mac,
     duplicate_signed_inputs,
     load_chip_config,
     signed_row_pairs,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ ROWS = 256
 COLS = 256
 SIGNED_ROWS = ROWS // 2  # signed weights occupy excitatory/inhibitory row pairs
 ARRAYS_PER_CHIP = 2
+OWNERSHIP_LOG_LEN = 256  # even: entries come in acquire/release pairs
 
 
 class WeightOutOfRange(ValueError):
@@ -133,7 +135,8 @@ class SynapseArray:
             config.sigma_offset * offs_rng.standard_normal(COLS)
         ).astype(np.float64)
         self.lock = threading.Lock()
-        self.ownership_log: list = []  # (event, holder) entries, for tests
+        # the latest (event, holder) entries, for tests; bounded for long runs
+        self.ownership_log: deque = deque(maxlen=OWNERSHIP_LOG_LEN)
 
     def configure(self, weights: np.ndarray) -> None:
         """Write the full physical array; unused regions must be passed as 0."""
@@ -182,14 +185,6 @@ class SynapseArray:
     def release(self, holder) -> None:
         self.ownership_log.append(("release", holder))
         self.lock.release()
-
-
-def analog_mac(array: SynapseArray, x, params: HwParams, rng) -> np.ndarray:
-    return array.mac(x, params, rng)
-
-
-def configure(array: SynapseArray, weights) -> None:
-    array.configure(weights)
 
 
 def signed_row_pairs(weights_signed: np.ndarray) -> np.ndarray:

@@ -11,16 +11,8 @@ import numpy as np
 
 from . import lowering, perf, train as training
 from .chip import ChipConfig, HwParams, load_chip_config
-from .executor import Executor, SimulatedChips
-from .partition import build_graph, partition_matmul, plan_to_json
-from .quant import (
-    QuantSpec,
-    dequantize_outputs,
-    input_scale_for,
-    quantize_inputs,
-    quantize_weights,
-    weight_scale_for,
-)
+from .executor import SimulatedChips
+from .partition import partition_matmul, plan_to_json
 from .tensor import read_csv, read_tensor, tensor, write_tensor
 
 
@@ -55,28 +47,15 @@ def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_
         raise click.ClickException(f"shape mismatch: inputs {x.shape} vs weights {w.shape}")
 
     config = load_chip_config(chip_config) if chip_config else ChipConfig()
-    resources = SimulatedChips(chips, config)
-    spec = QuantSpec(
-        input_scale=input_scale_for(x),
-        weight_scale=weight_scale_for(w),
-        output_scale=input_scale_for(x) * weight_scale_for(w) / config.gain,
-        signed_weights=True,
+    y, trace = training.quantized_matmul(
+        x, w, SimulatedChips(chips, config), HwParams(num_sends, wait_between_events), mode=mode
     )
-    plan = partition_matmul(w.shape[0], w.shape[1], signed=True, arrays=resources.array_bindings())
-    graph = build_graph(
-        plan,
-        quantize_weights(w, spec),
-        quantize_inputs(x, spec),
-        hw_params=HwParams(num_sends, wait_between_events),
-    )
-    outputs, trace = Executor(resources).run(graph, mode=mode)
-    (y8,) = outputs.values()
-    write_tensor(tensor(dequantize_outputs(y8, spec), dtype="f32"), out_path)
+    write_tensor(tensor(y, dtype="f32"), out_path)
     if trace_path:
         with open(trace_path, "w") as f:
             f.write(trace.to_csv())
     click.echo(
-        f"ran {len(plan.tiles)} tile(s) on {chips} chip(s); "
+        f"ran {len(trace.rows)} tile(s) on {chips} chip(s); "
         f"makespan {trace.makespan:.6g} s, utilization {trace.utilization:.3f}"
     )
 

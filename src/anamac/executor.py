@@ -7,15 +7,18 @@ dependencies may overlap; numerics are independent of the schedule because
 each instance owns an RNG stream keyed by (chip_seed, instance id).
 
 ``simulated_time`` mode advances a virtual clock from per-stage cost
-durations; ``measured_time`` runs the stages on a thread pool and records
-wall-clock times. Outputs are bit-identical between modes and worker counts.
+durations; ``measured_time`` runs the stages on a thread pool (by default
+min(instances, os.cpu_count()) threads) and records wall-clock times.
+Outputs are bit-identical between modes and worker counts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -146,7 +149,7 @@ class InstanceCost:
 
 
 class DefaultTiming:
-    """Fallback byte-proportional stage costs (used when no link model is given)."""
+    """Byte-proportional stage costs, independent of any link model."""
 
     per_run_overhead = 1e-4
     byte_time = 1e-9
@@ -325,6 +328,19 @@ def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
     raise g.KindMismatch(f"unexpected digital vertex kind {v.kind}")
 
 
+def _finish(graph, values: dict, costs: dict, times: dict) -> tuple:
+    """Digital vertices, outputs and trace once every instance has stored."""
+    for vid in g.vertex_order(graph):
+        v = graph.vertices[vid]
+        if v.kind in g.DIGITAL_KINDS and vid not in values:
+            values[vid] = _digital_value(v, values)
+    outputs = {vid: values[vid] for vid in graph.outputs()}
+    trace = RunTrace(
+        [TraceRow(iid, times[iid], c.bytes_config, c.bytes_in, c.bytes_out) for iid, c in costs.items()]
+    )
+    return outputs, trace
+
+
 class Executor:
     def __init__(
         self,
@@ -341,12 +357,9 @@ class Executor:
     def _timing(self):
         if self.timing is not None:
             return self.timing
-        try:
-            from .perf import default_timing
+        from .perf import default_timing  # looked up per call: perf imports this module
 
-            return default_timing()
-        except Exception:
-            return DefaultTiming()
+        return default_timing()
 
     def run(self, graph: g.DependencyGraph, mode: str = "simulated_time", force_serial: bool = False):
         """Execute the graph; returns ({external_store id: ndarray}, RunTrace)."""
@@ -359,15 +372,21 @@ class Executor:
             return self._run_measured(graph)
         raise ValueError(f"unknown mode {mode!r}")
 
-    # -- shared numerics -------------------------------------------------
+    def _exec_instance(self, graph, inst, values, lock, clock):
+        """Run one instance; ``lock`` guards ``values``, ``clock`` stamps the stages.
 
-    def _exec_instance(self, graph, inst, values):
+        Returns (InstanceCost, (pre_start, exec_start, exec_end, post_end)).
+        """
+        pre_s = clock()
         load, matrix, store = _instance_parts(graph, inst)
-        x = _resolve_load(graph, load, values)
+        with lock:
+            x = _resolve_load(graph, load, values)
         payload = matrix.payload
-        block = np.asarray(payload["weights"])
+        padded_x, padded_w, rows, cols = _prepare(
+            x, np.asarray(payload["weights"]), bool(payload.get("signed"))
+        )
         hw_params = payload.get("hw_params") or HwParams()
-        padded_x, padded_w, rows, cols = _prepare(x, block, bool(payload.get("signed")))
+        exec_s = clock()
         array = self.resources.array(inst.array_binding)
         rng = instance_rng(array.config, inst.id, self.seed_salt)
         array.acquire(inst.id)
@@ -376,102 +395,57 @@ class Executor:
             y = array.mac(padded_x, hw_params, rng, cols)
         finally:
             array.release(inst.id)
-        values[store.id] = y[:, :cols]
-        return InstanceCost(rows, cols, padded_x.shape[0], hw_params)
-
-    def _evaluate(self, graph: g.DependencyGraph) -> tuple:
-        """Sequential, schedule-independent evaluation of all vertex values."""
-        values: dict = {}
-        costs: dict = {}
-        inst_order = g.topo_schedule(graph)
-        for iid in inst_order:
-            costs[iid] = self._exec_instance(graph, graph.instances[iid], values)
-        for vid in g.vertex_order(graph):
-            v = graph.vertices[vid]
-            if v.kind in g.DIGITAL_KINDS and vid not in values:
-                values[vid] = _digital_value(v, values)
-        outputs = {vid: values[vid] for vid in graph.outputs()}
-        return outputs, costs
-
-    # -- simulated time ---------------------------------------------------
+        exec_e = clock()
+        with lock:
+            values[store.id] = y[:, :cols]
+        cost = InstanceCost(rows, cols, padded_x.shape[0], hw_params)
+        return cost, (pre_s, exec_s, exec_e, clock())
 
     def _run_simulated(self, graph, force_serial):
-        outputs, costs = self._evaluate(graph)
+        """Sequential numerics in topological order, then a virtual-clock schedule."""
+        values: dict = {}
+        costs: dict = {}
+        lock = threading.Lock()
+        for iid in g.topo_schedule(graph):
+            costs[iid], _ = self._exec_instance(graph, graph.instances[iid], values, lock, time.perf_counter)
         timing = self._timing()
         durations = {iid: timing.durations(c) for iid, c in costs.items()}
         resource_of = {iid: graph.instances[iid].array_binding for iid in costs}
         deps = graph.instance_dependencies()
         schedule = schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
-        trace = RunTrace(
-            [
-                TraceRow(iid, schedule[iid], costs[iid].bytes_config, costs[iid].bytes_in, costs[iid].bytes_out)
-                for iid in costs
-            ]
-        )
-        return outputs, trace
-
-    # -- measured time ----------------------------------------------------
+        return _finish(graph, values, costs, schedule)
 
     def _run_measured(self, graph):
-        import time
-
+        """Instances on a thread pool; the trace holds wall-clock stage times."""
         deps = graph.instance_dependencies()
         done = {iid: threading.Event() for iid in graph.instances}
         values: dict = {}
-        values_lock = threading.Lock()
         costs: dict = {}
         times: dict = {}
+        lock = threading.Lock()
         t0 = time.perf_counter()
 
+        def clock():
+            return time.perf_counter() - t0
+
         def worker(iid):
-            inst = graph.instances[iid]
             for d in deps[iid]:
                 if not done[d].wait(timeout=60.0):
                     raise DeadlockDetected(f"instance {iid} starved waiting for {d}")
-            pre_s = time.perf_counter() - t0
-            load, matrix, store = _instance_parts(graph, inst)
-            with values_lock:
-                x = _resolve_load(graph, load, values)
-            payload = matrix.payload
-            padded_x, padded_w, rows, cols = _prepare(
-                x, np.asarray(payload["weights"]), bool(payload.get("signed"))
+            costs[iid], (pre_s, exec_s, exec_e, post_e) = self._exec_instance(
+                graph, graph.instances[iid], values, lock, clock
             )
-            hw_params = payload.get("hw_params") or HwParams()
-            exec_s = time.perf_counter() - t0
-            array = self.resources.array(inst.array_binding)
-            rng = instance_rng(array.config, inst.id, self.seed_salt)
-            array.acquire(iid)
-            try:
-                array.configure(padded_w)
-                y = array.mac(padded_x, hw_params, rng, cols)
-            finally:
-                array.release(iid)
-            exec_e = time.perf_counter() - t0
-            with values_lock:
-                values[store.id] = y[:, :cols]
-                costs[iid] = InstanceCost(rows, cols, padded_x.shape[0], hw_params)
-            post_e = time.perf_counter() - t0
             times[iid] = StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, post_e)
             done[iid].set()
 
-        n_workers = self.workers or max(len(graph.instances), 1)
+        # instances are submitted in topological order to a FIFO pool, so every
+        # dependency of a running instance has started: a capped pool cannot starve
+        n_workers = self.workers or min(max(len(graph.instances), 1), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(worker, iid) for iid in g.topo_schedule(graph)]
             for f in futures:
                 f.result()
-
-        for vid in g.vertex_order(graph):
-            v = graph.vertices[vid]
-            if v.kind in g.DIGITAL_KINDS and vid not in values:
-                values[vid] = _digital_value(v, values)
-        outputs = {vid: values[vid] for vid in graph.outputs()}
-        trace = RunTrace(
-            [
-                TraceRow(iid, times[iid], costs[iid].bytes_config, costs[iid].bytes_in, costs[iid].bytes_out)
-                for iid in costs
-            ]
-        )
-        return outputs, trace
+        return _finish(graph, values, costs, times)
 
 
 def run(graph, mode="simulated_time", resources=None, timing=None, workers=None, force_serial=False):

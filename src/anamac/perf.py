@@ -18,9 +18,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from importlib import resources as importlib_resources
 
-from .chip import HwParams
+from .chip import HwParams, _read_kv
 from .executor import InstanceCost, schedule_pipeline
 from .partition import TileSpec, partition_matmul
 
@@ -68,14 +67,7 @@ class CostModel:
 
 def load_link_config(name_or_path) -> LinkBudget:
     """Read a key=value link budget file; bare names resolve to packaged configs."""
-    text = _config_text(name_or_path)
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+    values = _read_kv(name_or_path)
     return LinkBudget(
         bandwidth_bps=float(values["bandwidth_bps"]),
         per_run_overhead_s=float(values["per_run_overhead_s"]),
@@ -83,18 +75,6 @@ def load_link_config(name_or_path) -> LinkBudget:
         clock_period_s=float(values["clock_period_s"]),
         host_byte_time_s=float(values["host_byte_time_s"]),
     )
-
-
-def _config_text(name_or_path) -> str:
-    name = str(name_or_path)
-    if "/" not in name and not name.endswith(".cfg"):
-        name = name + ".cfg"
-    if "/" not in name:
-        ref = importlib_resources.files("anamac") / "configs" / name
-        if ref.is_file():
-            return ref.read_text()
-    with open(name_or_path) as f:
-        return f.read()
 
 
 def wire_time(rows, cols, batch, params: HwParams, link: LinkBudget, cost: CostModel) -> float:

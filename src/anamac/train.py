@@ -66,6 +66,34 @@ class ForwardContext:
     seed_salt: int = 0  # decorrelates chip temporal noise across steps
 
 
+def quant_spec(x, w, gain: float) -> QuantSpec:
+    """Max calibration of a signed-weight matmul whose chip outputs scale by ``gain``."""
+    input_scale, weight_scale = input_scale_for(x), weight_scale_for(w)
+    return QuantSpec(input_scale, weight_scale, input_scale * weight_scale / gain, signed_weights=True)
+
+
+def quantized_matmul(
+    x,
+    w,
+    resources: SimulatedChips,
+    hw_params: HwParams | None = None,
+    mode: str = "simulated_time",
+    seed_salt: int = 0,
+):
+    """x @ w through the chip pipeline: quantize -> partition -> graph -> execute -> dequantize.
+
+    Returns (y_float, RunTrace).
+    """
+    spec = quant_spec(x, w, resources.config.gain)
+    xq = quantize_inputs(x, spec)
+    wq = quantize_weights(w, spec)
+    plan = partition_matmul(w.shape[0], w.shape[1], signed=True, arrays=resources.array_bindings())
+    graph = build_graph(plan, wq, xq, hw_params=hw_params)
+    outputs, trace = Executor(resources, seed_salt=seed_salt).run(graph, mode=mode)
+    (y8,) = outputs.values()
+    return dequantize_outputs(y8, spec), trace
+
+
 def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
     """Quantized matmul through the software model or the chip pipeline.
 
@@ -73,20 +101,15 @@ def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
     the dequantized outputs for the backward pass.
     """
     w = layer.weights
-    resources = ctx.resources
-    if resources is None and ctx.backend == "chip":
-        resources = global_resources()  # one pool, so the fixed pattern persists across calls
-    gain = resources.config.gain if resources is not None else ChipConfig().gain
-    spec = QuantSpec(
-        input_scale=input_scale_for(x),
-        weight_scale=weight_scale_for(w),
-        output_scale=input_scale_for(x) * weight_scale_for(w) / gain,
-        signed_weights=True,
-    )
-    xq = quantize_inputs(x, spec)
-    wq = quantize_weights(w, spec)
-
-    if ctx.backend == "software":
+    if ctx.backend == "chip":
+        # None: one global pool, so the fixed pattern persists across calls
+        resources = ctx.resources if ctx.resources is not None else global_resources()
+        y, _ = quantized_matmul(x, w, resources, getattr(layer, "hw_params", None), seed_salt=ctx.seed_salt)
+    elif ctx.backend == "software":
+        gain = ctx.resources.config.gain if ctx.resources is not None else ChipConfig().gain
+        spec = quant_spec(x, w, gain)
+        xq = quantize_inputs(x, spec)
+        wq = quantize_weights(w, spec)
         # float64 BLAS is exact here: |acc| <= 31 * 63 * N stays far below 2**53
         acc = xq.astype(np.float64) @ wq.astype(np.float64)
         analog = gain * acc
@@ -94,15 +117,10 @@ def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
             rng = ctx.rng or np.random.default_rng()
             analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
         y8 = np.clip(round_half_away(analog), OUTPUT_MIN, OUTPUT_MAX).astype(np.int8)
-    elif ctx.backend == "chip":
-        plan = partition_matmul(w.shape[0], w.shape[1], signed=True, arrays=resources.array_bindings())
-        graph = build_graph(plan, wq, xq, hw_params=getattr(layer, "hw_params", None))
-        outputs, _ = Executor(resources, seed_salt=ctx.seed_salt).run(graph)
-        (y8,) = outputs.values()
+        y = dequantize_outputs(y8, spec)
     else:
         raise ValueError(f"unknown backend {ctx.backend!r}")
 
-    y = dequantize_outputs(y8, spec)
     state = {"x": np.asarray(x, dtype=np.float32), "y": y}
     return y, state
 

@@ -4,6 +4,8 @@ import numpy as np
 from click.testing import CliRunner
 
 from anamac.cli import main
+from anamac.executor import SimulatedChips
+from anamac.train import ForwardContext, matmul_forward
 from anamac.tensor import read_tensor, tensor, write_tensor
 
 
@@ -28,6 +30,28 @@ def test_matmul_command(tmp_path):
     assert y.shape == (4, 8)
     assert (tmp_path / "trace.csv").read_text().startswith("instance,stage,")
     assert "makespan" in result.output
+
+
+def test_matmul_command_equals_chip_forward(tmp_path):
+    """The CLI and the chip backend of a layer run the same quantized pipeline."""
+    from test_train import _Bare
+
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, size=(5, 300)).astype(np.float32)
+    w = rng.uniform(-1, 1, size=(300, 40)).astype(np.float32)
+    write_tensor(tensor(x), tmp_path / "x.tns")
+    write_tensor(tensor(w), tmp_path / "w.tns")
+    result = CliRunner().invoke(
+        main,
+        ["matmul", "--inputs", str(tmp_path / "x.tns"), "--weights", str(tmp_path / "w.tns"),
+         "--out", str(tmp_path / "y.tns")],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("ran 3 tile(s) on 1 chip(s)")
+    y_cli = read_tensor(tmp_path / "y.tns").array
+    y_layer, _ = matmul_forward(x, _Bare(w), ForwardContext(backend="chip", resources=SimulatedChips(1)))
+    assert y_cli.dtype == y_layer.dtype == np.float32
+    assert y_cli.tobytes() == y_layer.tobytes()
 
 
 def test_matmul_shape_mismatch(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from anamac import graph as g
-from anamac.chip import SIGNED_ROWS, ChipConfig
+from anamac import executor, graph as g, perf
+from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig
 from anamac.executor import (
     Executor,
     InstanceCost,
@@ -207,6 +207,52 @@ def test_array_lock_is_held_during_each_run():
         assert log[i][0] == "acquire"
         assert log[i + 1][0] == "release"
         assert log[i][1] == log[i + 1][1]
+
+
+def test_ownership_log_is_bounded_and_keeps_pairs():
+    rng = np.random.default_rng(5)
+    res = SimulatedChips(1, NOISELESS)
+    n_instances = OWNERSHIP_LOG_LEN + 20
+    graph, _, _ = _simple_graph(rng, n=SIGNED_ROWS * n_instances, m=1, batch=1, arrays=[(0, 0)])
+    assert len(graph.instances) > OWNERSHIP_LOG_LEN
+    Executor(res, workers=2).run(graph, mode="measured_time")
+    log = res.array((0, 0)).ownership_log
+    assert len(log) == OWNERSHIP_LOG_LEN
+    for i in range(0, len(log), 2):
+        assert log[i][0] == "acquire"
+        assert log[i + 1][0] == "release"
+        assert log[i][1] == log[i + 1][1]
+
+
+def test_measured_pool_defaults_to_cpu_count(monkeypatch):
+    """The default pool is capped at os.cpu_count(), not one thread per instance."""
+    real_pool = executor.ThreadPoolExecutor
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(executor.os, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(6)
+    res = SimulatedChips(1, NOISY)
+    graph, _, _ = _simple_graph(rng, n=SIGNED_ROWS * 8, m=1000, batch=2)
+    assert len(graph.instances) >= 32
+    (measured,) = Executor(res).run(graph, mode="measured_time")[0].values()
+    (simulated,) = Executor(res).run(graph)[0].values()
+    assert sizes == [2]
+    assert np.array_equal(measured, simulated)
+
+
+def test_failing_default_timing_surfaces(monkeypatch):
+    def broken():
+        raise OSError("link config unreadable")
+
+    monkeypatch.setattr(perf, "default_timing", broken)
+    graph, _, _ = _simple_graph(np.random.default_rng(7))
+    with pytest.raises(OSError, match="link config unreadable"):
+        Executor(SimulatedChips(1, NOISELESS)).run(graph)
 
 
 def test_load_can_source_a_digital_sum():

@@ -132,3 +132,17 @@ def test_load_link_config_from_path(tmp_path):
     link = perf.load_link_config(str(path))
     assert link.bandwidth_bps == 5e8
     assert link.protocol_efficiency == 0.9
+
+
+@pytest.mark.parametrize("source", ["link_8g", "link_8g.cfg", "path"])
+def test_load_link_config_sources_agree(source, tmp_path):
+    """Bare names and names with .cfg resolve to the packaged file; paths are read as given."""
+    if source == "path":
+        path = tmp_path / "copy.cfg"
+        path.write_text(
+            "# a copy of link_8g\n\nbandwidth_bps = 8e9\n  # indented comment\n"
+            "per_run_overhead_s=8e-4\nprotocol_efficiency = 1.0\n\n"
+            "clock_period_s = 1.6e-8\nhost_byte_time_s = 5e-11\n"
+        )
+        source = str(path)
+    assert perf.load_link_config(source) == perf.LinkBudget(8e9, 8e-4, 1.0, 1.6e-8, 5e-11)
