@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quant import INPUT_MAX, OUTPUT_MAX, OUTPUT_MIN, WEIGHT_MAX, round_half_away
+from .quant import INPUT_MAX, OUTPUT_MAX, OUTPUT_MIN, WEIGHT_MAX, to_fixed
 
 ROWS = 256
 COLS = 256
@@ -172,10 +172,9 @@ class SynapseArray:
         acc = x2.astype(np.float64) @ effective
         sigma = self.config.sigma_temporal / math.sqrt(params.num_sends)
         noise = sigma * rng.standard_normal(acc.shape) if sigma > 0 else 0.0
-        y = round_half_away(self.config.gain * acc + self.neuron_offset[:cols] + noise)
+        analog = self.config.gain * acc + self.neuron_offset[:cols] + noise
         out = np.zeros((x2.shape[0], COLS), dtype=np.int8)
-        # clip and cast before the copy: casting float64 on assignment costs memory
-        out[:, :cols] = np.clip(y, OUTPUT_MIN, OUTPUT_MAX).astype(np.int8)
+        out[:, :cols] = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
         return out[0] if single else out
 
     def acquire(self, holder) -> None:

@@ -31,10 +31,12 @@ from .chip import (
     Chip,
     ChipConfig,
     HwParams,
+    InputOutOfRange,
+    WeightOutOfRange,
     duplicate_signed_inputs,
     signed_row_pairs,
 )
-from .quant import INPUT_MAX
+from .quant import INPUT_MAX, WEIGHT_MAX
 
 
 class Unavailable(RuntimeError):
@@ -194,12 +196,6 @@ class RunTrace:
         span = self.makespan
         return total_exec / span if span > 0 else 0.0
 
-    def stage_totals(self) -> tuple:
-        pre = sum(r.times.pre_end - r.times.pre_start for r in self.rows)
-        exe = sum(r.times.exec_end - r.times.exec_start for r in self.rows)
-        post = sum(r.times.post_end - r.times.post_start for r in self.rows)
-        return pre, exe, post
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -287,6 +283,8 @@ def _resolve_load(graph: g.DependencyGraph, load: g.Vertex, values: dict) -> np.
     payload = load.payload or {}
     if "data" in payload:
         x = np.atleast_2d(np.asarray(payload["data"]))
+        if _would_wrap(x, 0, INPUT_MAX):
+            raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
     elif "source" in payload:
         # host-side range adaptation of stored i8 activations to the u5 domain
         src = np.atleast_2d(np.asarray(_vertex_value(graph, payload["source"], values)))
@@ -296,13 +294,25 @@ def _resolve_load(graph: g.DependencyGraph, load: g.Vertex, values: dict) -> np.
     return x.astype(np.uint8)
 
 
+def _would_wrap(a: np.ndarray, lo: int, hi: int) -> bool:
+    """True for an integer array wider than 8 bits with values outside [lo, hi].
+
+    The cast to the chip's u8/i8 operands would wrap these values silently;
+    8-bit arrays (the quantizers' output) are range-checked by the array itself.
+    """
+    wide = a.dtype.kind in "iu" and a.dtype.itemsize > 1
+    return wide and (a.min(initial=0) < lo or a.max(initial=0) > hi)
+
+
 def _prepare(x: np.ndarray, block: np.ndarray, signed: bool) -> tuple:
     """Pad operands to the physical array, applying signed row pairing."""
     if signed:
         phys_w = signed_row_pairs(block)
         phys_x = duplicate_signed_inputs(x)
     else:
-        phys_w = np.asarray(block, dtype=np.int8)
+        phys_w = np.asarray(block)
+        if _would_wrap(phys_w, -WEIGHT_MAX, WEIGHT_MAX):
+            raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
         phys_x = x
     rows, cols = phys_w.shape
     padded_w = np.zeros((ROWS, COLS), dtype=np.int8)

@@ -91,17 +91,6 @@ class DependencyGraph:
     vertices: dict = field(default_factory=dict)  # vertex id -> Vertex
     instances: dict = field(default_factory=dict)  # instance id -> ExecutionInstance
 
-    def instance_of(self, vertex_id: int) -> int | None:
-        for inst in self.instances.values():
-            if vertex_id in inst.vertex_ids:
-                return inst.id
-        return None
-
-    def edges(self):
-        for v in self.vertices.values():
-            for src in v.inputs:
-                yield (src, v.id)
-
     def outputs(self):
         return [v.id for v in self.vertices.values() if v.kind is VertexKind.EXTERNAL_STORE]
 

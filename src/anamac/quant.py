@@ -37,52 +37,41 @@ class QuantSpec:
                 raise ValueError(f"{name} must be strictly positive and finite, got {v}")
 
 
-@dataclass(frozen=True)
-class QuantizedOperands:
-    inputs: np.ndarray  # u8, values <= INPUT_MAX
-    weights: np.ndarray  # i8, |values| <= WEIGHT_MAX
-    spec: QuantSpec
-
-    def __post_init__(self):
-        x = np.asarray(self.inputs)
-        w = np.asarray(self.weights)
-        if x.dtype != np.uint8 or x.max(initial=0) > INPUT_MAX:
-            raise ValueError("inputs must be u8 in [0, 31]")
-        if w.dtype != np.int8 or np.abs(w.astype(np.int32)).max(initial=0) > WEIGHT_MAX:
-            raise ValueError("weights must be i8 in [-63, 63]")
-        if not self.spec.signed_weights and w.min(initial=0) < 0:
-            raise ValueError("unsigned weights must be non-negative")
-
-
 def round_half_away(values: np.ndarray) -> np.ndarray:
     """Round to nearest with ties going away from zero."""
     return np.trunc(values + np.copysign(0.5, values))
 
 
+def to_fixed(values, lo, hi, dtype) -> np.ndarray:
+    """Round half away from zero, clamp to [lo, hi], cast to ``dtype``.
+
+    The one float-to-fixed-point conversion: inputs, weights and both ADC
+    models digitise through it. ``values`` is never written to.
+    """
+    r = np.asarray(round_half_away(values))
+    return np.clip(r, lo, hi, out=r).astype(dtype)
+
+
 def quantize_inputs(x, spec: QuantSpec) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("inputs contain NaN or infinity")
-    q = round_half_away(x / spec.input_scale)
-    return np.clip(q, 0, INPUT_MAX).astype(np.uint8)
+    return to_fixed(np.divide(x, spec.input_scale, dtype=np.float64), 0, INPUT_MAX, np.uint8)
 
 
 def quantize_weights(w, spec: QuantSpec) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w)
     if not np.all(np.isfinite(w)):
         raise NonFiniteInput("weights contain NaN or infinity")
-    q = round_half_away(w / spec.weight_scale)
     lo = -WEIGHT_MAX if spec.signed_weights else 0
-    return np.clip(q, lo, WEIGHT_MAX).astype(np.int8)
+    return to_fixed(np.divide(w, spec.weight_scale, dtype=np.float64), lo, WEIGHT_MAX, np.int8)
 
 
 def dequantize_outputs(y, spec: QuantSpec) -> np.ndarray:
     y = np.asarray(y)
-    if y.dtype == np.int8:
-        pass
-    elif np.any(y < OUTPUT_MIN) or np.any(y > OUTPUT_MAX):
+    if y.dtype != np.int8 and (np.any(y < OUTPUT_MIN) or np.any(y > OUTPUT_MAX)):
         raise ValueError("outputs must lie in [-128, 127]")
-    return (y.astype(np.float32) * np.float32(spec.output_scale)).astype(np.float32)
+    return y.astype(np.float32) * np.float32(spec.output_scale)
 
 
 def input_scale_for(x) -> float:

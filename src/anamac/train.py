@@ -29,7 +29,7 @@ from .quant import (
     input_scale_for,
     quantize_inputs,
     quantize_weights,
-    round_half_away,
+    to_fixed,
     weight_scale_for,
 )
 from .tensor import read_tensor, tensor, write_tensor
@@ -116,7 +116,7 @@ def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
         if ctx.noise_lsb > 0:
             rng = ctx.rng or np.random.default_rng()
             analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
-        y8 = np.clip(round_half_away(analog), OUTPUT_MIN, OUTPUT_MAX).astype(np.int8)
+        y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
         y = dequantize_outputs(y8, spec)
     else:
         raise ValueError(f"unknown backend {ctx.backend!r}")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anamac import executor, graph as g, perf
-from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig
+from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, InputOutOfRange, WeightOutOfRange
 from anamac.executor import (
     Executor,
     InstanceCost,
@@ -146,11 +148,14 @@ def test_outputs_independent_of_worker_count():
     assert np.array_equal(results[0], results[2])
 
 
-def _tiled_oracle(x, w, div):
-    """Per-tile digitisation (round half away of acc / div, clamp), then clamped ADD."""
+def _tiled_oracle(x, w, div, cap=SIGNED_ROWS):
+    """Per-tile digitisation (round half away of acc / div, clamp), then clamped ADD.
+
+    ``cap`` is the tile's row cap: 128 logical rows signed, 256 unsigned.
+    """
     total = np.zeros((x.shape[0], w.shape[1]), dtype=np.int64)
-    for r0 in range(0, w.shape[0], SIGNED_ROWS):
-        acc = x[:, r0 : r0 + SIGNED_ROWS].astype(np.int64) @ w[r0 : r0 + SIGNED_ROWS].astype(np.int64)
+    for r0 in range(0, w.shape[0], cap):
+        acc = x[:, r0 : r0 + cap].astype(np.int64) @ w[r0 : r0 + cap].astype(np.int64)
         total += np.clip(np.sign(acc) * ((np.abs(acc) + div // 2) // div), -128, 127)
     return np.clip(total, -128, 127)
 
@@ -167,6 +172,54 @@ def test_narrow_signed_tile_is_bit_exact(mode):
     (y,) = Executor(res).run(build_graph(plan, w, x), mode=mode)[0].values()
     assert len(plan.tiles) == 3
     assert np.array_equal(y, _tiled_oracle(x, w, 64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    m=st.integers(1, 600),
+    batch=st.integers(1, 4),
+    signed=st.booleans(),
+    chips=st.integers(1, 3),
+    mode=st.sampled_from(["simulated_time", "measured_time"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_and_executor_equal_the_saturating_oracle(n, m, batch, signed, chips, mode, seed):
+    """Full-range operands at gain 1/64: tile partials saturate before the clamped ADD."""
+    rng = np.random.default_rng(seed)
+    res = SimulatedChips(chips, ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1 / 64))
+    w = rng.integers(-63 if signed else 0, 64, size=(n, m)).astype(np.int8)
+    x = rng.integers(0, 32, size=(batch, n)).astype(np.uint8)
+    plan = partition_matmul(n, m, signed=signed, arrays=res.array_bindings())
+    (y,) = Executor(res).run(build_graph(plan, w, x), mode=mode)[0].values()
+    assert np.array_equal(y, _tiled_oracle(x, w, 64, plan.cap_rows))
+
+
+def _one_instance_graph(data, weights):
+    b = g.GraphBuilder()
+    load = b.add_vertex(g.VertexKind.EXTERNAL_LOAD, payload={"data": data})
+    matrix = b.add_vertex(
+        g.VertexKind.SYNAPSE_MATRIX, payload={"weights": weights, "signed": False}, inputs=(load,)
+    )
+    neurons = b.add_vertex(g.VertexKind.NEURONS, inputs=(matrix,))
+    digitize = b.add_vertex(g.VertexKind.DIGITIZE, inputs=(neurons,))
+    store = b.add_vertex(g.VertexKind.STORE, inputs=(digitize,))
+    b.add_instance((load, matrix, neurons, digitize, store))
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(store,))
+    return b.build()
+
+
+@pytest.mark.parametrize("mode", ["simulated_time", "measured_time"])
+def test_wide_integer_operands_are_range_checked_not_wrapped(mode):
+    """int16 weight 200 used to run as -56 and int16 input 257 as 1."""
+    run = Executor(SimulatedChips(1, NOISELESS)).run
+    one, two = np.array([[1]], dtype=np.int16), np.array([[2]], dtype=np.int16)
+    (y,) = run(_one_instance_graph(one, two), mode=mode)[0].values()
+    assert np.array_equal(y, [[2]])  # in-range wide operands still run
+    with pytest.raises(WeightOutOfRange, match=r"weights must lie in \[-63, 63\]"):
+        run(_one_instance_graph(one, np.array([[200]], dtype=np.int16)), mode=mode)
+    with pytest.raises(InputOutOfRange, match=r"inputs must be u8 in \[0, 31\]"):
+        run(_one_instance_graph(np.array([[257]], dtype=np.int16), two), mode=mode)
 
 
 def test_noise_depends_on_instance_not_schedule():

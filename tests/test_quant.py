@@ -9,13 +9,13 @@ from anamac.quant import (
     OUTPUT_MIN,
     WEIGHT_MAX,
     NonFiniteInput,
-    QuantizedOperands,
     QuantSpec,
     dequantize_outputs,
     input_scale_for,
     quantize_inputs,
     quantize_weights,
     round_half_away,
+    to_fixed,
     weight_scale_for,
 )
 
@@ -54,6 +54,59 @@ def test_round_half_away_equals_the_sign_floor_formula(values):
     assert np.array_equal(round_half_away(v), _round_half_away_reference(v), equal_nan=True)
 
 
+_FIXED_FORMATS = [  # inputs, signed and unsigned weights, ADC outputs
+    (0, INPUT_MAX, np.uint8),
+    (-WEIGHT_MAX, WEIGHT_MAX, np.int8),
+    (0, WEIGHT_MAX, np.int8),
+    (OUTPUT_MIN, OUTPUT_MAX, np.int8),
+]
+_FIXED_EDGES = [0.5, 1.5, 2.5, 31.5, 63.5, 127.5, 128.5, 0.0, 0.49999999999999994, np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
+    st.sampled_from(_FIXED_FORMATS),
+)
+def test_to_fixed_is_round_clamp_cast(values, fmt):
+    """Ties, +-0 and +-inf included; NaN is left out because its integer cast is undefined."""
+    lo, hi, dtype = fmt
+    v = np.array(values + _FIXED_EDGES + [-e for e in _FIXED_EDGES], dtype=np.float64)
+    before = v.copy()
+    q = to_fixed(v, lo, hi, dtype)
+    assert q.dtype == dtype
+    assert np.array_equal(q, np.clip(round_half_away(v), lo, hi).astype(dtype))
+    assert np.array_equal(v, before) and np.array_equal(np.signbit(v), np.signbit(before))
+
+
+def test_quantizers_leave_their_input_unchanged():
+    spec = QuantSpec(input_scale=0.3, weight_scale=0.2)
+    x = np.array([-1.0, 0.15, 0.45, 2.0, 40.0])
+    before = x.copy()
+    quantize_inputs(x, spec)
+    quantize_weights(x, spec)
+    assert np.array_equal(x, before)
+
+
+def test_quantizers_accept_0d_input():
+    spec = QuantSpec(input_scale=0.5, weight_scale=0.5, signed_weights=True)
+    for value in (3.4, np.float32(-3.4), np.array(7.25)):
+        qx, qw = quantize_inputs(value, spec), quantize_weights(value, spec)
+        vx, vw = quantize_inputs(np.array([value]), spec), quantize_weights(np.array([value]), spec)
+        assert np.ndim(qx) == 0 and np.ndim(qw) == 0
+        assert (qx.dtype, qw.dtype) == (np.uint8, np.int8)
+        assert (qx, qw) == (vx[0], vw[0])
+
+
+def test_quotient_overflow_clips_to_the_rail():
+    """A finite operand whose quotient by a tiny scale overflows still saturates."""
+    spec = QuantSpec(input_scale=1e-300, weight_scale=1e-300)
+    big = np.array([1e300, -1e300, 1.0])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(quantize_inputs(big, spec), [INPUT_MAX, 0, INPUT_MAX])
+        assert np.array_equal(quantize_weights(big, spec), [WEIGHT_MAX, -WEIGHT_MAX, WEIGHT_MAX])
+
+
 def test_quantize_inputs_clamps_to_u5():
     spec = QuantSpec()
     q = quantize_inputs(np.array([-5.0, 0.0, 14.5, 31.4, 99.0]), spec)
@@ -84,18 +137,6 @@ def test_spec_validates_scales():
         QuantSpec(weight_scale=-1.0)
     with pytest.raises(ValueError):
         QuantSpec(output_scale=np.nan)
-
-
-def test_operands_validation():
-    spec = QuantSpec(signed_weights=False)
-    with pytest.raises(ValueError):
-        QuantizedOperands(
-            np.array([40], dtype=np.uint8), np.array([1], dtype=np.int8), spec
-        )
-    with pytest.raises(ValueError):
-        QuantizedOperands(
-            np.array([1], dtype=np.uint8), np.array([-1], dtype=np.int8), spec
-        )
 
 
 @settings(max_examples=100, deadline=None)

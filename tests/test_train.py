@@ -5,6 +5,7 @@ import pytest
 
 from anamac.chip import ChipConfig
 from anamac.executor import SimulatedChips, global_resources, reset_resources
+from anamac.quant import round_half_away
 from anamac.train import (
     HAR_SIGNALS,
     Conv1dLayer,
@@ -130,6 +131,25 @@ def test_software_noise_injection_perturbs_outputs():
         x, _Bare(w), ForwardContext(noise_lsb=5.0, rng=np.random.default_rng(0))
     )
     assert not np.array_equal(clean, noisy)
+
+
+def test_software_noise_is_added_before_the_one_digitisation():
+    """y8 = clip(round_half_away(gain * acc + rng.normal(0, noise_lsb)), -128, 127)."""
+    rng = np.random.default_rng(8)
+    w = rng.integers(-63, 64, size=(288, 16)).astype(np.float32)
+    w[0, 0] = 63.0  # pins weight_scale to 1
+    x = rng.integers(0, 32, size=(6, 288)).astype(np.float32)
+    x[:, rng.random(288) < 0.9] = 0.0  # most outputs inside the ADC range, some on its rails
+    x[0, 0] = 31.0  # pins input_scale to 1
+    gain = 1 / 64
+    res = SimulatedChips(1, ChipConfig(gain=gain))
+    ctx = ForwardContext(resources=res, noise_lsb=2.0, rng=np.random.default_rng(9))
+    y, _ = matmul_forward(x, _Bare(w), ctx)
+    acc = x.astype(np.int64) @ w.astype(np.int64)
+    analog = gain * acc + np.random.default_rng(9).normal(0.0, 2.0, size=acc.shape)
+    y8 = np.clip(round_half_away(analog), -128, 127)
+    assert 0 < np.count_nonzero((y8 == -128) | (y8 == 127)) < y8.size
+    assert np.array_equal(y, y8.astype(np.float32) * np.float32(64.0))
 
 
 # -- layers -------------------------------------------------------------------
