@@ -126,6 +126,7 @@ class SynapseArray:
         self.config = config
         self.array_index = array_index
         self.weights = np.zeros((ROWS, COLS), dtype=np.int8)
+        self.rows, self.cols = ROWS, COLS
         gain_rng = np.random.default_rng([config.chip_seed, array_index, 0])
         offs_rng = np.random.default_rng([config.chip_seed, array_index, 1])
         self.fixed_gain = (
@@ -138,38 +139,42 @@ class SynapseArray:
         # the latest (event, holder) entries, for tests; bounded for long runs
         self.ownership_log: deque = deque(maxlen=OWNERSHIP_LOG_LEN)
 
-    def configure(self, weights: np.ndarray) -> None:
-        """Write the full physical array; unused regions must be passed as 0."""
-        weights = np.asarray(weights)
-        if weights.shape != (ROWS, COLS):
-            raise WeightOutOfRange(f"expected full {ROWS}x{COLS} weight array, got {weights.shape}")
-        if np.abs(weights.astype(np.int32)).max(initial=0) > WEIGHT_MAX:
-            raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
-        self.weights = weights.astype(np.int8)
+    def configure(self, block: np.ndarray) -> None:
+        """Write an integer block of up to 256x256 weights into the zeroed array.
 
-    def mac(
-        self, x: np.ndarray, params: HwParams, rng: np.random.Generator, cols: int = COLS
-    ) -> np.ndarray:
-        """Analog multiply-accumulate of one input vector or a (batch, 256) block.
+        The block's shape sets the live rows and columns for the next ``mac``.
+        """
+        block = np.asarray(block)
+        if block.ndim != 2 or not (1 <= block.shape[0] <= ROWS and 1 <= block.shape[1] <= COLS):
+            raise WeightOutOfRange(f"block must be 1x1 up to {ROWS}x{COLS}, got {block.shape}")
+        if block.dtype.kind not in "iu" or block.min() < -WEIGHT_MAX or block.max() > WEIGHT_MAX:
+            raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
+        self.rows, self.cols = block.shape
+        self.weights.fill(0)
+        self.weights[: self.rows, : self.cols] = block
+
+    def mac(self, x: np.ndarray, params: HwParams, rng: np.random.Generator) -> np.ndarray:
+        """Analog multiply-accumulate of one input vector or a (batch, rows) block.
 
         y = clamp(round(g * x @ (W * fixed_gain) + offset + noise), -128, 127)
 
-        Only the first ``cols`` neurons are digitised: the simulator computes
-        and draws temporal noise for the columns a tile uses, and returns 0 for
-        columns >= ``cols``. The result keeps the full 256-column width.
+        ``x`` holds integers in [0, 31], one per configured row. The product
+        runs over all 256 rows (unconfigured rows carry input 0), but only the
+        configured columns are digitised and draw temporal noise; the result
+        keeps the full 256-column width with 0 in the other columns.
         """
         x = np.asarray(x)
         single = x.ndim == 1
         x2 = np.atleast_2d(x)
-        if x2.shape[1] != ROWS:
-            raise InputOutOfRange(f"input width {x2.shape[1]}, expected {ROWS}")
-        if x2.dtype != np.uint8 or x2.max(initial=0) > INPUT_MAX:
+        if x2.shape[1] != self.rows:
+            raise InputOutOfRange(f"input width {x2.shape[1]}, expected {self.rows}")
+        if x2.dtype.kind not in "iu" or x2.min(initial=0) < 0 or x2.max(initial=0) > INPUT_MAX:
             raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
-        if not 1 <= cols <= COLS:
-            raise ValueError(f"cols must lie in [1, {COLS}], got {cols}")
 
-        effective = self.weights[:, :cols] * self.fixed_gain[:, :cols]
-        acc = x2.astype(np.float64) @ effective
+        cols = self.cols
+        padded = np.zeros((x2.shape[0], ROWS))
+        padded[:, : self.rows] = x2
+        acc = padded @ (self.weights[:, :cols] * self.fixed_gain[:, :cols])
         sigma = self.config.sigma_temporal / math.sqrt(params.num_sends)
         noise = sigma * rng.standard_normal(acc.shape) if sigma > 0 else 0.0
         analog = self.config.gain * acc + self.neuron_offset[:cols] + noise
@@ -190,16 +195,15 @@ def signed_row_pairs(weights_signed: np.ndarray) -> np.ndarray:
     """Map 128 signed logical rows onto 256 physical excitatory/inhibitory rows.
 
     Physical row 2r carries max(w_r, 0), row 2r+1 carries min(w_r, 0), so a MAC
-    over the pair with the input duplicated equals the signed product.
+    over the pair with the input duplicated equals the signed product. The pairs
+    keep the block's dtype; ``SynapseArray.configure`` range-checks them.
     """
     w = np.asarray(weights_signed)
     if w.ndim != 2 or w.shape[0] > SIGNED_ROWS or w.shape[1] > COLS:
         raise WeightOutOfRange(
             f"signed block must be at most {SIGNED_ROWS}x{COLS}, got {w.shape}"
         )
-    if np.abs(w.astype(np.int32)).max(initial=0) > WEIGHT_MAX:
-        raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
-    paired = np.zeros((2 * w.shape[0], w.shape[1]), dtype=np.int8)
+    paired = np.zeros((2 * w.shape[0], w.shape[1]), dtype=w.dtype)
     paired[0::2] = np.maximum(w, 0)
     paired[1::2] = np.minimum(w, 0)
     return paired

@@ -1,7 +1,8 @@
 """Just-in-time execution of a dependency graph.
 
-Every execution instance passes through three stages: preprocessing (slice,
-pad, pair), execution on a synapse array (exclusive per array), and
+Every execution instance passes through three stages: preprocessing (resolve
+the load, pair the rows of a signed block), execution on a synapse array
+(exclusive per array; the array takes the block as it is), and
 postprocessing of the digitized results. Stages of instances without mutual
 dependencies may overlap; numerics are independent of the schedule because
 each instance owns an RNG stream keyed by (chip_seed, instance id).
@@ -25,17 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as g
-from .chip import (
-    COLS,
-    ROWS,
-    Chip,
-    ChipConfig,
-    HwParams,
-    InputOutOfRange,
-    WeightOutOfRange,
-    duplicate_signed_inputs,
-    signed_row_pairs,
-)
+from .chip import Chip, ChipConfig, HwParams, WeightOutOfRange, duplicate_signed_inputs, signed_row_pairs
 from .quant import INPUT_MAX, WEIGHT_MAX
 
 
@@ -282,44 +273,12 @@ def _vertex_value(graph: g.DependencyGraph, vid: int, values: dict) -> np.ndarra
 def _resolve_load(graph: g.DependencyGraph, load: g.Vertex, values: dict) -> np.ndarray:
     payload = load.payload or {}
     if "data" in payload:
-        x = np.atleast_2d(np.asarray(payload["data"]))
-        if _would_wrap(x, 0, INPUT_MAX):
-            raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
-    elif "source" in payload:
+        return np.atleast_2d(np.asarray(payload["data"]))
+    if "source" in payload:
         # host-side range adaptation of stored i8 activations to the u5 domain
         src = np.atleast_2d(np.asarray(_vertex_value(graph, payload["source"], values)))
-        x = np.clip(src, 0, INPUT_MAX)
-    else:
-        raise g.MalformedInstance(f"external load {load.id} carries neither data nor source")
-    return x.astype(np.uint8)
-
-
-def _would_wrap(a: np.ndarray, lo: int, hi: int) -> bool:
-    """True for an integer array wider than 8 bits with values outside [lo, hi].
-
-    The cast to the chip's u8/i8 operands would wrap these values silently;
-    8-bit arrays (the quantizers' output) are range-checked by the array itself.
-    """
-    wide = a.dtype.kind in "iu" and a.dtype.itemsize > 1
-    return wide and (a.min(initial=0) < lo or a.max(initial=0) > hi)
-
-
-def _prepare(x: np.ndarray, block: np.ndarray, signed: bool) -> tuple:
-    """Pad operands to the physical array, applying signed row pairing."""
-    if signed:
-        phys_w = signed_row_pairs(block)
-        phys_x = duplicate_signed_inputs(x)
-    else:
-        phys_w = np.asarray(block)
-        if _would_wrap(phys_w, -WEIGHT_MAX, WEIGHT_MAX):
-            raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
-        phys_x = x
-    rows, cols = phys_w.shape
-    padded_w = np.zeros((ROWS, COLS), dtype=np.int8)
-    padded_w[:rows, :cols] = phys_w
-    padded_x = np.zeros((phys_x.shape[0], ROWS), dtype=np.uint8)
-    padded_x[:, :rows] = phys_x
-    return padded_x, padded_w, rows, cols
+        return np.clip(src, 0, INPUT_MAX)
+    raise g.MalformedInstance(f"external load {load.id} carries neither data nor source")
 
 
 def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
@@ -392,23 +351,26 @@ class Executor:
         with lock:
             x = _resolve_load(graph, load, values)
         payload = matrix.payload
-        padded_x, padded_w, rows, cols = _prepare(
-            x, np.asarray(payload["weights"]), bool(payload.get("signed"))
-        )
+        block = np.asarray(payload["weights"])
+        if payload.get("signed"):
+            block, x = signed_row_pairs(block), duplicate_signed_inputs(x)
+        elif block.min(initial=0) < 0:
+            raise WeightOutOfRange(f"unsigned weights must lie in [0, {WEIGHT_MAX}]")
+        rows, cols = block.shape
         hw_params = payload.get("hw_params") or HwParams()
         exec_s = clock()
         array = self.resources.array(inst.array_binding)
         rng = instance_rng(array.config, inst.id, self.seed_salt)
         array.acquire(inst.id)
         try:
-            array.configure(padded_w)
-            y = array.mac(padded_x, hw_params, rng, cols)
+            array.configure(block)
+            y = array.mac(x, hw_params, rng)
         finally:
             array.release(inst.id)
         exec_e = clock()
         with lock:
             values[store.id] = y[:, :cols]
-        cost = InstanceCost(rows, cols, padded_x.shape[0], hw_params)
+        cost = InstanceCost(rows, cols, x.shape[0], hw_params)
         return cost, (pre_s, exec_s, exec_e, clock())
 
     def _run_simulated(self, graph, force_serial):
@@ -439,14 +401,18 @@ class Executor:
             return time.perf_counter() - t0
 
         def worker(iid):
-            for d in deps[iid]:
-                if not done[d].wait(timeout=60.0):
-                    raise DeadlockDetected(f"instance {iid} starved waiting for {d}")
-            costs[iid], (pre_s, exec_s, exec_e, post_e) = self._exec_instance(
-                graph, graph.instances[iid], values, lock, clock
-            )
-            times[iid] = StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, post_e)
-            done[iid].set()
+            try:
+                for d in deps[iid]:
+                    if not done[d].wait(timeout=60.0):
+                        raise DeadlockDetected(f"instance {iid} starved waiting for {d}")
+                    if d not in costs:
+                        return  # the dependency failed; its own future raises the error
+                costs[iid], (pre_s, exec_s, exec_e, post_e) = self._exec_instance(
+                    graph, graph.instances[iid], values, lock, clock
+                )
+                times[iid] = StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, post_e)
+            finally:
+                done[iid].set()
 
         # instances are submitted in topological order to a FIFO pool, so every
         # dependency of a running instance has started: a capped pool cannot starve

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chip import COLS, ROWS, HwParams
+from .chip import COLS, ROWS, SIGNED_ROWS, HwParams
 
 
 class VertexKind(str, Enum):
@@ -204,10 +204,12 @@ def validate(graph: DependencyGraph) -> list:
     for v in graph.vertices.values():
         if v.kind is VertexKind.SYNAPSE_MATRIX and v.payload is not None:
             block = np.asarray(v.payload.get("weights"))
-            if block.ndim != 2 or block.shape[0] > ROWS or block.shape[1] > COLS:
+            signed = bool(v.payload.get("signed"))
+            max_rows = SIGNED_ROWS if signed else ROWS  # signed rows take a physical pair each
+            if block.ndim != 2 or block.shape[0] > max_rows or block.shape[1] > COLS:
                 problems.append(
-                    f"KindMismatch: synapse matrix {v.id} block {block.shape} exceeds "
-                    f"the {ROWS}x{COLS} array"
+                    f"KindMismatch: {'signed' if signed else 'unsigned'} synapse matrix {v.id} "
+                    f"block {block.shape} exceeds {max_rows}x{COLS}"
                 )
     return problems
 

@@ -22,18 +22,6 @@ from anamac.chip import (
 NOISELESS = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
 
 
-def _pad_weights(w):
-    full = np.zeros((ROWS, COLS), dtype=np.int8)
-    full[: w.shape[0], : w.shape[1]] = w
-    return full
-
-
-def _pad_inputs(x):
-    full = np.zeros((x.shape[0], ROWS), dtype=np.uint8)
-    full[:, : x.shape[1]] = x
-    return full
-
-
 def test_geometry_constants():
     assert (ROWS, COLS) == (256, 256)
     assert SIGNED_ROWS == 128
@@ -54,23 +42,42 @@ def test_noiseless_mac_is_exact_integer_matmul():
 
 def test_output_saturates_at_i8():
     array = SynapseArray(NOISELESS, 0)
-    array.configure(_pad_weights(np.full((10, 2), 63, dtype=np.int8)))
-    x = _pad_inputs(np.full((1, 10), 31, dtype=np.uint8))
+    array.configure(np.full((10, 2), 63, dtype=np.int8))
+    x = np.full((1, 10), 31, dtype=np.uint8)
     y = array.mac(x, HwParams(), np.random.default_rng(0))
     assert y[0, 0] == 127
-    array.configure(_pad_weights(np.full((10, 2), -63, dtype=np.int8)))
+    array.configure(np.full((10, 2), -63, dtype=np.int8))
     y = array.mac(x, HwParams(), np.random.default_rng(0))
     assert y[0, 0] == -128
 
 
 def test_configure_rejects_bad_weights():
     array = SynapseArray(NOISELESS, 0)
-    with pytest.raises(WeightOutOfRange):
-        array.configure(np.zeros((10, 10), dtype=np.int8))  # not the full array
+    array.configure(np.ones((ROWS, COLS), dtype=np.int8))
+    array.configure(np.full((10, 10), 5, dtype=np.int8))  # a narrow block is zero-padded
+    assert (array.rows, array.cols) == (10, 10)
+    assert array.weights.shape == (ROWS, COLS) and array.weights.dtype == np.int8
+    assert array.weights[:10, :10].all() and array.weights.sum() == 500
     bad = np.zeros((ROWS, COLS), dtype=np.int16)
     bad[0, 0] = 64
     with pytest.raises(WeightOutOfRange):
         array.configure(bad)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        pytest.param(np.zeros((ROWS, 0), dtype=np.int8), id="empty"),
+        pytest.param(np.zeros((ROWS, COLS + 1), dtype=np.int8), id="wider"),
+        pytest.param(np.zeros((ROWS + 1, 4), dtype=np.int8), id="taller"),
+        pytest.param(np.zeros(4, dtype=np.int8), id="1d"),
+        pytest.param(np.ones((4, 4)), id="float"),  # float weights are not truncated
+    ],
+)
+def test_configure_rejects_a_block_the_array_cannot_hold(block):
+    array = SynapseArray(NOISELESS, 0)
+    with pytest.raises(WeightOutOfRange):
+        array.configure(block)
 
 
 def test_mac_rejects_bad_inputs():
@@ -82,6 +89,28 @@ def test_mac_rejects_bad_inputs():
         array.mac(np.full((1, ROWS), 32, dtype=np.uint8), HwParams(), np.random.default_rng(0))
 
 
+def test_mac_input_width_follows_the_configured_rows():
+    array = SynapseArray(NOISELESS, 0)
+    array.configure(np.ones((64, 16), dtype=np.int8))
+    for width in (ROWS, 63, 65):
+        with pytest.raises(InputOutOfRange, match="expected 64"):
+            array.mac(np.zeros((1, width), dtype=np.uint8), HwParams(), np.random.default_rng(0))
+    y = array.mac(np.ones(64, dtype=np.uint8), HwParams(), np.random.default_rng(0))
+    assert y.shape == (COLS,) and (y[:16] == 64).all() and not y[16:].any()
+
+
+def test_mac_takes_integer_inputs_in_range_only():
+    array = SynapseArray(NOISELESS, 0)
+    array.configure(np.ones((8, 2), dtype=np.int8))
+    y = array.mac(np.full((1, 8), 31, dtype=np.int16), HwParams(), np.random.default_rng(0))
+    assert np.array_equal(y[:, :2], [[127, 127]])  # 8 * 31 saturates
+    y = array.mac(np.full((1, 8), 2, dtype=np.int64), HwParams(), np.random.default_rng(0))
+    assert np.array_equal(y[:, :2], [[16, 16]])
+    for bad in (np.full((1, 8), 1.0), np.full((1, 8), -1, dtype=np.int16), np.full((1, 8), 32, np.int16)):
+        with pytest.raises(InputOutOfRange, match=r"inputs must be u8 in \[0, 31\]"):
+            array.mac(bad, HwParams(), np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("cols", [1, 16, 255, 256])
 def test_live_column_mac_matches_full_width_when_noise_free(cols):
     rng = np.random.default_rng(cols)
@@ -89,21 +118,15 @@ def test_live_column_mac_matches_full_width_when_noise_free(cols):
     w = np.zeros((ROWS, COLS), dtype=np.int8)
     w[:, :cols] = rng.integers(-3, 4, size=(ROWS, cols))
     x = rng.integers(0, 4, size=(5, ROWS)).astype(np.uint8)
+    array.configure(w[:, :cols])
+    live = array.mac(x, HwParams(), np.random.default_rng(0))
     array.configure(w)
-    live = array.mac(x, HwParams(), np.random.default_rng(0), cols=cols)
     full = array.mac(x, HwParams(), np.random.default_rng(0))
     exact = np.clip(x.astype(np.int64) @ w[:, :cols].astype(np.int64), -128, 127)
     assert live.shape == (5, COLS) and live.dtype == np.int8
     assert np.array_equal(live[:, :cols], full[:, :cols])
     assert np.array_equal(live[:, :cols], exact)
     assert not live[:, cols:].any()
-
-
-@pytest.mark.parametrize("cols", [0, COLS + 1])
-def test_mac_rejects_cols_outside_the_array(cols):
-    array = SynapseArray(NOISELESS, 0)
-    with pytest.raises(ValueError):
-        array.mac(np.zeros((1, ROWS), dtype=np.uint8), HwParams(), np.random.default_rng(0), cols=cols)
 
 
 def _written_out_mac(array, x, params, rng, cols):
@@ -128,12 +151,25 @@ def test_default_width_mac_keeps_the_noise_stream():
 def test_live_column_mac_draws_noise_for_live_columns_only():
     rng = np.random.default_rng(5)
     array = SynapseArray(ChipConfig(chip_seed=9), 0)
-    w = np.zeros((ROWS, COLS), dtype=np.int8)
-    w[:, :16] = rng.integers(-63, 64, size=(ROWS, 16))
-    array.configure(w)
+    array.configure(rng.integers(-63, 64, size=(ROWS, 16)).astype(np.int8))
     x = rng.integers(0, 32, size=(7, ROWS)).astype(np.uint8)
-    y = array.mac(x, HwParams(), np.random.default_rng(11), cols=16)
+    y = array.mac(x, HwParams(), np.random.default_rng(11))
     assert np.array_equal(y[:, :16], _written_out_mac(array, x, HwParams(), np.random.default_rng(11), 16))
+    assert not y[:, 16:].any()
+
+
+def test_short_block_mac_is_the_256_row_product_of_the_padded_input():
+    """A noisy 64x16 block runs the same float product as its zero-padded full-array form."""
+    rng = np.random.default_rng(6)
+    array = SynapseArray(ChipConfig(chip_seed=9), 1)
+    array.configure(rng.integers(-63, 64, size=(64, 16)).astype(np.int8))
+    x = rng.integers(0, 32, size=(7, 64)).astype(np.uint8)
+    padded = np.zeros((7, ROWS), dtype=np.uint8)
+    padded[:, :64] = x
+    params = HwParams(num_sends=3)
+    y = array.mac(x, params, np.random.default_rng(12))
+    want = _written_out_mac(array, padded, params, np.random.default_rng(12), 16)
+    assert y[:, :16].tobytes() == want.tobytes()
     assert not y[:, 16:].any()
 
 

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,17 +198,23 @@ def test_partition_and_executor_equal_the_saturating_oracle(n, m, batch, signed,
     assert np.array_equal(y, _tiled_oracle(x, w, 64, plan.cap_rows))
 
 
-def _one_instance_graph(data, weights):
-    b = g.GraphBuilder()
-    load = b.add_vertex(g.VertexKind.EXTERNAL_LOAD, payload={"data": data})
+def _chain(b, weights, data=None, source=None, signed=False, iid=None, binding=(0, 0)):
+    """Add one load -> matrix -> neurons -> digitize -> store instance; returns the store."""
+    payload = {"data": data} if data is not None else {"source": source}
+    load = b.add_vertex(g.VertexKind.EXTERNAL_LOAD, payload=payload)
     matrix = b.add_vertex(
-        g.VertexKind.SYNAPSE_MATRIX, payload={"weights": weights, "signed": False}, inputs=(load,)
+        g.VertexKind.SYNAPSE_MATRIX, payload={"weights": weights, "signed": signed}, inputs=(load,)
     )
     neurons = b.add_vertex(g.VertexKind.NEURONS, inputs=(matrix,))
     digitize = b.add_vertex(g.VertexKind.DIGITIZE, inputs=(neurons,))
     store = b.add_vertex(g.VertexKind.STORE, inputs=(digitize,))
-    b.add_instance((load, matrix, neurons, digitize, store))
-    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(store,))
+    b.add_instance((load, matrix, neurons, digitize, store), binding, instance_id=iid)
+    return store
+
+
+def _one_instance_graph(data, weights):
+    b = g.GraphBuilder()
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(_chain(b, weights, data=data),))
     return b.build()
 
 
@@ -220,6 +229,52 @@ def test_wide_integer_operands_are_range_checked_not_wrapped(mode):
         run(_one_instance_graph(one, np.array([[200]], dtype=np.int16)), mode=mode)
     with pytest.raises(InputOutOfRange, match=r"inputs must be u8 in \[0, 31\]"):
         run(_one_instance_graph(np.array([[257]], dtype=np.int16), two), mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["simulated_time", "measured_time"])
+def test_unsigned_block_rejects_negative_weights(mode):
+    """An unsigned block with weight -5 and input 3 used to return -15."""
+    graph = _one_instance_graph(np.array([[3]], dtype=np.uint8), np.array([[-5]], dtype=np.int8))
+    with pytest.raises(WeightOutOfRange, match=r"unsigned weights must lie in \[0, 63\]"):
+        Executor(SimulatedChips(1, NOISELESS)).run(graph, mode=mode)
+
+
+def test_failing_instance_does_not_stall_its_dependents():
+    """Dependents of a failed instance return at once instead of timing out after 60 s."""
+    b = g.GraphBuilder()
+    one = np.array([[1]], dtype=np.int8)
+    failed = _chain(b, np.array([[200]], dtype=np.int16), data=np.array([[1]], dtype=np.uint8))
+    stores = [_chain(b, one, data=np.array([[1]], dtype=np.uint8))]  # independent, runs fine
+    for _ in range(3):  # a fan-out of the failed instance, each with a dependent of its own
+        stores.append(_chain(b, one, source=failed, binding=(0, 1)))
+        stores.append(_chain(b, one, source=stores[-1], binding=(0, 1)))
+    for s in stores:
+        b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(s,))
+    res = SimulatedChips(1, NOISELESS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(WeightOutOfRange, match=r"weights must lie in \[-63, 63\]"):
+            Executor(res, workers=4).run(b.build(), mode="measured_time")
+        assert time.perf_counter() - start < 5.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert not res.array((0, 1)).ownership_log  # no dependent touched its array
+
+
+def test_validate_rejects_a_signed_block_over_the_row_pair_cap():
+    """A 129-row signed block fails validation before any instance runs."""
+    b = g.GraphBuilder()
+    ok = _chain(b, np.ones((4, 4), dtype=np.int8), data=np.ones((1, 4), dtype=np.uint8), signed=True)
+    tall = np.ones((SIGNED_ROWS + 1, 4), dtype=np.int8)
+    big = _chain(b, tall, data=np.ones((1, SIGNED_ROWS + 1), dtype=np.uint8), signed=True)
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(ok,))
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(big,))
+    res = SimulatedChips(1, NOISELESS)
+    with pytest.raises(g.MalformedInstance, match="signed synapse matrix"):
+        Executor(res).run(b.build())
+    assert not res.array((0, 0)).ownership_log
 
 
 def test_noise_depends_on_instance_not_schedule():
@@ -311,26 +366,11 @@ def test_failing_default_timing_surfaces(monkeypatch):
 def test_load_can_source_a_digital_sum():
     """An instance may consume the clamped sum of two other instances."""
     b = g.GraphBuilder()
-
-    def chain(data=None, source=None, weights=None, iid=None):
-        payload = {"data": data} if data is not None else {"source": source}
-        load = b.add_vertex(g.VertexKind.EXTERNAL_LOAD, payload=payload)
-        matrix = b.add_vertex(
-            g.VertexKind.SYNAPSE_MATRIX,
-            payload={"weights": weights, "signed": False},
-            inputs=(load,),
-        )
-        neurons = b.add_vertex(g.VertexKind.NEURONS, inputs=(matrix,))
-        digitize = b.add_vertex(g.VertexKind.DIGITIZE, inputs=(neurons,))
-        store = b.add_vertex(g.VertexKind.STORE, inputs=(digitize,))
-        b.add_instance((load, matrix, neurons, digitize, store), (0, 0), instance_id=iid)
-        return store
-
     w = np.eye(2, dtype=np.int8) * 3
-    s1 = chain(data=np.array([[1, 2]], dtype=np.uint8), weights=w, iid=1)
-    s3 = chain(data=np.array([[2, 1]], dtype=np.uint8), weights=w, iid=3)
+    s1 = _chain(b, w, data=np.array([[1, 2]], dtype=np.uint8), iid=1)
+    s3 = _chain(b, w, data=np.array([[2, 1]], dtype=np.uint8), iid=3)
     add = b.add_vertex(g.VertexKind.ADD, inputs=(s1, s3))
-    s2 = chain(source=add, weights=np.eye(2, dtype=np.int8), iid=2)
+    s2 = _chain(b, np.eye(2, dtype=np.int8), source=add, iid=2)
     final = b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(s2,))
     res = SimulatedChips(1, NOISELESS)
     outputs, _ = Executor(res).run(b.build())
