@@ -16,9 +16,7 @@ from .chip import (
     ChipConfig,
     HwParams,
     SynapseArray,
-    duplicate_signed_inputs,
     load_chip_config,
-    signed_row_pairs,
 )
 from .executor import (
     Executor,
@@ -36,9 +34,7 @@ from .lowering import (
     ConvSpec,
     conv1d_spec,
     conv2d_spec,
-    execute_expanded,
     lower_conv,
-    pack_expanded_matrix,
     plan_expansion,
     unroll_kernel,
 )

@@ -7,8 +7,9 @@ neurons. The analog path is modeled as an exact integer product distorted by
   * an additive per-neuron offset (static per chip seed),
   * additive temporal noise per run, scaled down by sqrt(num_sends).
 
-With all sigmas at zero and unit gain the model collapses to the exact
-saturating integer matmul, which the oracle tests rely on.
+Signed weights occupy excitatory/inhibitory row pairs; the array maps a signed
+block onto its pairs itself. With all sigmas at zero and unit gain the model
+collapses to the exact saturating integer matmul, which the oracle tests rely on.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class SynapseArray:
         self.config = config
         self.array_index = array_index
         self.weights = np.zeros((ROWS, COLS), dtype=np.int8)
-        self.rows, self.cols = ROWS, COLS
+        self.rows, self.cols, self.signed = ROWS, COLS, False
         gain_rng = np.random.default_rng([config.chip_seed, array_index, 0])
         offs_rng = np.random.default_rng([config.chip_seed, array_index, 1])
         self.fixed_gain = (
@@ -139,29 +140,43 @@ class SynapseArray:
         # the latest (event, holder) entries, for tests; bounded for long runs
         self.ownership_log: deque = deque(maxlen=OWNERSHIP_LOG_LEN)
 
-    def configure(self, block: np.ndarray) -> None:
-        """Write an integer block of up to 256x256 weights into the zeroed array.
+    def configure(self, block: np.ndarray, signed: bool = False) -> None:
+        """Write an integer block of logical weights into the zeroed array.
 
-        The block's shape sets the live rows and columns for the next ``mac``.
+        Unsigned: up to 256x256 weights in [0, 63]. Signed: up to 128x256
+        weights in [-63, 63], logical row r on the physical pair 2r, 2r+1.
+        The block's shape sets the live rows and columns for the next ``mac``;
+        ``weights`` keeps the block in its top-left corner.
         """
         block = np.asarray(block)
-        if block.ndim != 2 or not (1 <= block.shape[0] <= ROWS and 1 <= block.shape[1] <= COLS):
-            raise WeightOutOfRange(f"block must be 1x1 up to {ROWS}x{COLS}, got {block.shape}")
+        max_rows = SIGNED_ROWS if signed else ROWS
+        if block.ndim != 2 or not (1 <= block.shape[0] <= max_rows and 1 <= block.shape[1] <= COLS):
+            raise WeightOutOfRange(f"block must be 1x1 up to {max_rows}x{COLS}, got {block.shape}")
         if block.dtype.kind not in "iu" or block.min() < -WEIGHT_MAX or block.max() > WEIGHT_MAX:
             raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
+        if not signed and block.min() < 0:
+            raise WeightOutOfRange(f"unsigned weights must lie in [0, {WEIGHT_MAX}]")
         self.rows, self.cols = block.shape
+        self.signed = signed
         self.weights.fill(0)
         self.weights[: self.rows, : self.cols] = block
+
+    @property
+    def physical_rows(self) -> int:
+        """Synapse rows the configured block occupies: two per signed row."""
+        return 2 * self.rows if self.signed else self.rows
 
     def mac(self, x: np.ndarray, params: HwParams, rng: np.random.Generator) -> np.ndarray:
         """Analog multiply-accumulate of one input vector or a (batch, rows) block.
 
-        y = clamp(round(g * x @ (W * fixed_gain) + offset + noise), -128, 127)
+        y = clamp(round(g * x @ W_eff + offset + noise), -128, 127)
 
-        ``x`` holds integers in [0, 31], one per configured row. The product
-        runs over all 256 rows (unconfigured rows carry input 0), but only the
-        configured columns are digitised and draw temporal noise; the result
-        keeps the full 256-column width with 0 in the other columns.
+        ``x`` holds integers in [0, 31], one per configured row. W_eff is the
+        block times the fixed-pattern gain G of its synapses; a signed block
+        folds each row pair into max(w, 0) * G[2r] + min(w, 0) * G[2r + 1],
+        the pair's MAC with the input sent to both rows (one term is 0). Only
+        the configured columns are digitised and draw temporal noise; the
+        result keeps the full 256-column width with 0 in the other columns.
         """
         x = np.asarray(x)
         single = x.ndim == 1
@@ -171,10 +186,18 @@ class SynapseArray:
         if x2.dtype.kind not in "iu" or x2.min(initial=0) < 0 or x2.max(initial=0) > INPUT_MAX:
             raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
 
-        cols = self.cols
-        padded = np.zeros((x2.shape[0], ROWS))
-        padded[:, : self.rows] = x2
-        acc = padded @ (self.weights[:, :cols] * self.fixed_gain[:, :cols])
+        rows, cols = self.rows, self.cols
+        w = self.weights[:rows, :cols].astype(np.float64)
+        gain = self.fixed_gain[:, :cols]
+        if self.signed:  # in place on float64: the fewest temporaries and no int8 casts
+            effective = np.maximum(w, 0.0)
+            effective *= gain[0 : 2 * rows : 2]
+            np.minimum(w, 0.0, out=w)
+            w *= gain[1 : 2 * rows : 2]
+            effective += w
+        else:
+            effective = w * gain[:rows]
+        acc = x2.astype(np.float64) @ effective
         sigma = self.config.sigma_temporal / math.sqrt(params.num_sends)
         noise = sigma * rng.standard_normal(acc.shape) if sigma > 0 else 0.0
         analog = self.config.gain * acc + self.neuron_offset[:cols] + noise
@@ -189,29 +212,6 @@ class SynapseArray:
     def release(self, holder) -> None:
         self.ownership_log.append(("release", holder))
         self.lock.release()
-
-
-def signed_row_pairs(weights_signed: np.ndarray) -> np.ndarray:
-    """Map 128 signed logical rows onto 256 physical excitatory/inhibitory rows.
-
-    Physical row 2r carries max(w_r, 0), row 2r+1 carries min(w_r, 0), so a MAC
-    over the pair with the input duplicated equals the signed product. The pairs
-    keep the block's dtype; ``SynapseArray.configure`` range-checks them.
-    """
-    w = np.asarray(weights_signed)
-    if w.ndim != 2 or w.shape[0] > SIGNED_ROWS or w.shape[1] > COLS:
-        raise WeightOutOfRange(
-            f"signed block must be at most {SIGNED_ROWS}x{COLS}, got {w.shape}"
-        )
-    paired = np.zeros((2 * w.shape[0], w.shape[1]), dtype=w.dtype)
-    paired[0::2] = np.maximum(w, 0)
-    paired[1::2] = np.minimum(w, 0)
-    return paired
-
-
-def duplicate_signed_inputs(x: np.ndarray) -> np.ndarray:
-    """Repeat each input entry across its excitatory/inhibitory row pair."""
-    return np.repeat(np.asarray(x), 2, axis=-1)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Just-in-time execution of a dependency graph.
 
 Every execution instance passes through three stages: preprocessing (resolve
-the load, pair the rows of a signed block), execution on a synapse array
-(exclusive per array; the array takes the block as it is), and
-postprocessing of the digitized results. Stages of instances without mutual
-dependencies may overlap; numerics are independent of the schedule because
-each instance owns an RNG stream keyed by (chip_seed, instance id).
+the load), execution on a synapse array (exclusive per array; the array takes
+the block and its ``signed`` flag and maps signed rows onto its row pairs
+itself), and postprocessing of the digitized results. Stages of instances
+without mutual dependencies may overlap; numerics are independent of the
+schedule because each instance owns an RNG stream keyed by (chip_seed,
+instance id).
 
 ``simulated_time`` mode advances a virtual clock from per-stage cost
 durations; ``measured_time`` runs the stages on a thread pool (by default
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as g
-from .chip import Chip, ChipConfig, HwParams, WeightOutOfRange, duplicate_signed_inputs, signed_row_pairs
-from .quant import INPUT_MAX, WEIGHT_MAX
+from .chip import ARRAYS_PER_CHIP, Chip, ChipConfig, HwParams
+from .quant import INPUT_MAX
 
 
 class Unavailable(RuntimeError):
@@ -61,8 +62,8 @@ class SimulatedChips:
 
     def array(self, binding):
         chip_idx, array_idx = binding
-        if chip_idx >= self.num_chips:
-            raise Unavailable(f"binding {binding} exceeds {self.num_chips} configured chips")
+        if not (0 <= chip_idx < self.num_chips and 0 <= array_idx < ARRAYS_PER_CHIP):
+            raise Unavailable(f"binding {binding} outside {self.num_chips} chips x {ARRAYS_PER_CHIP} arrays")
         return self.chips[chip_idx].arrays[array_idx]
 
     def array_bindings(self) -> list:
@@ -351,20 +352,15 @@ class Executor:
         with lock:
             x = _resolve_load(graph, load, values)
         payload = matrix.payload
-        block = np.asarray(payload["weights"])
-        if payload.get("signed"):
-            block, x = signed_row_pairs(block), duplicate_signed_inputs(x)
-        elif block.min(initial=0) < 0:
-            raise WeightOutOfRange(f"unsigned weights must lie in [0, {WEIGHT_MAX}]")
-        rows, cols = block.shape
         hw_params = payload.get("hw_params") or HwParams()
         exec_s = clock()
         array = self.resources.array(inst.array_binding)
         rng = instance_rng(array.config, inst.id, self.seed_salt)
         array.acquire(inst.id)
         try:
-            array.configure(block)
+            array.configure(payload["weights"], signed=bool(payload.get("signed")))
             y = array.mac(x, hw_params, rng)
+            rows, cols = array.physical_rows, array.cols
         finally:
             array.release(inst.id)
         exec_e = clock()

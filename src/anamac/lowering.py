@@ -3,9 +3,10 @@
 The kernel is unrolled into the vertical (row) dimension with all output
 channels placed horizontally aside each other; traversing the input yields one
 overlapping input vector per output position, multiplied by a weight matrix
-that is constant across positions. Small 1-d kernels can additionally be
-packed multiple times diagonally into one array, shifted by stride * C_in rows
-per copy, so several output positions compute in a single run.
+that is constant across positions. For a small 1-d kernel, ``plan_expansion``
+reports how many copies would fit diagonally into one array, shifted by
+stride * C_in rows per copy, so that several output positions could compute in
+a single run; ``anamac lower-conv --explain`` shows that packing plan.
 """
 
 from __future__ import annotations
@@ -183,73 +184,6 @@ def plan_expansion(spec: ConvSpec, cap_rows: int, cap_cols: int = COLS) -> Expan
         packed_rows=(copies - 1) * row_step + rows_one,
         packed_cols=copies * spec.out_channels,
     )
-
-
-def pack_expanded_matrix(plan: ExpansionPlan, per_copy_matrices) -> np.ndarray:
-    """Place each copy's (rows_one, C_out) matrix at its diagonal offset.
-
-    Copies are stored independently (learned individually on hardware) even
-    when initialized identically.
-    """
-    rows_one = plan.spec.matrix_rows
-    matrices = list(per_copy_matrices)
-    if len(matrices) != plan.copies:
-        raise ShapeMismatch(f"expected {plan.copies} copy matrices, got {len(matrices)}")
-    packed = np.zeros((plan.packed_rows, plan.packed_cols), dtype=np.asarray(matrices[0]).dtype)
-    for c, mat in enumerate(matrices):
-        mat = np.asarray(mat)
-        if mat.shape != (rows_one, plan.spec.out_channels):
-            raise ShapeMismatch(f"copy matrix shape {mat.shape}, expected {(rows_one, plan.spec.out_channels)}")
-        r0 = c * plan.row_offset_per_copy
-        c0 = c * plan.col_offset_per_copy
-        packed[r0 : r0 + rows_one, c0 : c0 + plan.spec.out_channels] = mat
-    return packed
-
-
-def _default_mac(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return vectors.astype(np.int64) @ matrix.astype(np.int64)
-
-
-def execute_expanded(plan: ExpansionPlan, per_copy_matrices, x, mac_fn=_default_mac) -> np.ndarray:
-    """Evaluate a conv1d with P positions per chip run.
-
-    One run covers P consecutive output positions; the last run may be partial
-    (excess columns are discarded, missing input taps are zero-padded).
-    ``mac_fn(vectors, matrix)`` performs the actual multiply; the default is
-    the exact integer product.
-    """
-    spec = plan.spec
-    x = np.asarray(x)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    if x.shape[1:] != (spec.in_channels,) + spec.extent:
-        raise ShapeMismatch(f"input shape {x.shape[1:]}, expected {(spec.in_channels,) + spec.extent}")
-    batch = x.shape[0]
-    (s,) = spec.stride
-    packed = pack_expanded_matrix(plan, per_copy_matrices)
-    positions = spec.positions
-    n_runs = -(-positions // plan.copies)
-
-    out = np.empty((batch, spec.out_channels, positions), dtype=np.int64)
-    taps_span = plan.packed_rows // spec.in_channels  # taps covered per run
-    for run in range(n_runs):
-        p0 = run * plan.copies
-        t0 = p0 * s
-        window = np.zeros((batch, spec.in_channels, taps_span), dtype=x.dtype)
-        avail = min(taps_span, spec.extent[0] - t0)
-        window[:, :, :avail] = x[:, :, t0 : t0 + avail]
-        vectors = window.transpose(0, 2, 1).reshape(batch, -1)
-        result = np.asarray(mac_fn(vectors, packed))
-        live = min(plan.copies, positions - p0)
-        for c in range(live):
-            cols = slice(c * spec.out_channels, (c + 1) * spec.out_channels)
-            out[:, :, p0 + c] = result[:, cols]
-    return out[0] if single else out
-
-
-def expanded_run_count(plan: ExpansionPlan) -> int:
-    return -(-plan.spec.positions // plan.copies)
 
 
 def direct_conv(spec: ConvSpec, kernel, x) -> np.ndarray:

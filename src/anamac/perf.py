@@ -16,6 +16,7 @@ link_8g.cfg. Tests use the frozen files and never refit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -121,7 +122,9 @@ class CostTiming:
         return pre, exec_, post
 
 
+@functools.cache
 def default_timing() -> CostTiming:
+    """The frozen link_8g model, read and parsed once per process."""
     return CostTiming(load_link_config("link_8g"))
 
 

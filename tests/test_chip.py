@@ -14,12 +14,16 @@ from anamac.chip import (
     InputOutOfRange,
     SynapseArray,
     WeightOutOfRange,
-    duplicate_signed_inputs,
     load_chip_config,
-    signed_row_pairs,
 )
 
 NOISELESS = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
+
+
+def _block(rng, signed, cols=COLS, high=3):
+    """A random block as tall as the array takes it: 128 signed rows or 256 unsigned."""
+    rows = SIGNED_ROWS if signed else ROWS
+    return rng.integers(-high if signed else 0, high + 1, size=(rows, cols)).astype(np.int8)
 
 
 def test_geometry_constants():
@@ -31,24 +35,23 @@ def test_geometry_constants():
 def test_noiseless_mac_is_exact_integer_matmul():
     rng = np.random.default_rng(3)
     array = SynapseArray(NOISELESS, 0)
-    w = rng.integers(-3, 4, size=(ROWS, COLS)).astype(np.int8)
-    x = rng.integers(0, 4, size=(5, ROWS)).astype(np.uint8)
-    array.configure(w)
-    y = array.mac(x, HwParams(), np.random.default_rng(0))
-    ref = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127)
-    assert y.dtype == np.int8
-    assert np.array_equal(y, ref)
+    for signed in (False, True):
+        w = _block(rng, signed)
+        x = rng.integers(0, 4, size=(5, w.shape[0])).astype(np.uint8)
+        array.configure(w, signed=signed)
+        y = array.mac(x, HwParams(), np.random.default_rng(0))
+        ref = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127)
+        assert y.dtype == np.int8
+        assert np.array_equal(y, ref), f"signed={signed}"
 
 
 def test_output_saturates_at_i8():
     array = SynapseArray(NOISELESS, 0)
-    array.configure(np.full((10, 2), 63, dtype=np.int8))
     x = np.full((1, 10), 31, dtype=np.uint8)
-    y = array.mac(x, HwParams(), np.random.default_rng(0))
-    assert y[0, 0] == 127
-    array.configure(np.full((10, 2), -63, dtype=np.int8))
-    y = array.mac(x, HwParams(), np.random.default_rng(0))
-    assert y[0, 0] == -128
+    for weight, signed, rail in ((63, False, 127), (63, True, 127), (-63, True, -128)):
+        array.configure(np.full((10, 2), weight, dtype=np.int8), signed=signed)
+        y = array.mac(x, HwParams(), np.random.default_rng(0))
+        assert y[0, 0] == rail, (weight, signed)
 
 
 def test_configure_rejects_bad_weights():
@@ -60,8 +63,14 @@ def test_configure_rejects_bad_weights():
     assert array.weights[:10, :10].all() and array.weights.sum() == 500
     bad = np.zeros((ROWS, COLS), dtype=np.int16)
     bad[0, 0] = 64
-    with pytest.raises(WeightOutOfRange):
+    with pytest.raises(WeightOutOfRange, match=r"weights must lie in \[-63, 63\]"):
         array.configure(bad)
+    negative = np.full((4, 4), 5, dtype=np.int8)
+    negative[2, 1] = -1
+    array.configure(negative, signed=True)
+    assert array.weights[2, 1] == -1 and array.weights.sum() == 74  # the logical block, unpaired
+    with pytest.raises(WeightOutOfRange, match=r"unsigned weights must lie in \[0, 63\]"):
+        array.configure(negative)
 
 
 @pytest.mark.parametrize(
@@ -91,12 +100,14 @@ def test_mac_rejects_bad_inputs():
 
 def test_mac_input_width_follows_the_configured_rows():
     array = SynapseArray(NOISELESS, 0)
-    array.configure(np.ones((64, 16), dtype=np.int8))
-    for width in (ROWS, 63, 65):
-        with pytest.raises(InputOutOfRange, match="expected 64"):
-            array.mac(np.zeros((1, width), dtype=np.uint8), HwParams(), np.random.default_rng(0))
-    y = array.mac(np.ones(64, dtype=np.uint8), HwParams(), np.random.default_rng(0))
-    assert y.shape == (COLS,) and (y[:16] == 64).all() and not y[16:].any()
+    for signed in (False, True):  # a signed block takes one input per logical row
+        array.configure(np.ones((64, 16), dtype=np.int8), signed=signed)
+        assert array.physical_rows == (128 if signed else 64)
+        for width in (ROWS, 128, 63, 65):
+            with pytest.raises(InputOutOfRange, match="expected 64"):
+                array.mac(np.zeros((1, width), dtype=np.uint8), HwParams(), np.random.default_rng(0))
+        y = array.mac(np.ones(64, dtype=np.uint8), HwParams(), np.random.default_rng(0))
+        assert y.shape == (COLS,) and (y[:16] == 64).all() and not y[16:].any()
 
 
 def test_mac_takes_integer_inputs_in_range_only():
@@ -115,24 +126,38 @@ def test_mac_takes_integer_inputs_in_range_only():
 def test_live_column_mac_matches_full_width_when_noise_free(cols):
     rng = np.random.default_rng(cols)
     array = SynapseArray(NOISELESS, 0)
-    w = np.zeros((ROWS, COLS), dtype=np.int8)
-    w[:, :cols] = rng.integers(-3, 4, size=(ROWS, cols))
-    x = rng.integers(0, 4, size=(5, ROWS)).astype(np.uint8)
-    array.configure(w[:, :cols])
-    live = array.mac(x, HwParams(), np.random.default_rng(0))
-    array.configure(w)
-    full = array.mac(x, HwParams(), np.random.default_rng(0))
-    exact = np.clip(x.astype(np.int64) @ w[:, :cols].astype(np.int64), -128, 127)
-    assert live.shape == (5, COLS) and live.dtype == np.int8
-    assert np.array_equal(live[:, :cols], full[:, :cols])
-    assert np.array_equal(live[:, :cols], exact)
-    assert not live[:, cols:].any()
+    for signed in (False, True):
+        w = _block(rng, signed)
+        w[:, cols:] = 0
+        x = rng.integers(0, 4, size=(5, w.shape[0])).astype(np.uint8)
+        array.configure(w[:, :cols], signed=signed)
+        live = array.mac(x, HwParams(), np.random.default_rng(0))
+        array.configure(w, signed=signed)
+        full = array.mac(x, HwParams(), np.random.default_rng(0))
+        exact = np.clip(x.astype(np.int64) @ w[:, :cols].astype(np.int64), -128, 127)
+        assert live.shape == (5, COLS) and live.dtype == np.int8
+        assert np.array_equal(live[:, :cols], full[:, :cols]), f"signed={signed}"
+        assert np.array_equal(live[:, :cols], exact), f"signed={signed}"
+        assert not live[:, cols:].any()
 
 
-def _written_out_mac(array, x, params, rng, cols):
-    """The analog model spelled out, temporal noise drawn for ``cols`` columns."""
+def _written_out_mac(array, x, params, rng):
+    """The analog model spelled out for the configured block.
+
+    Each weight takes the fixed-pattern gain of the synapse it sits on: row r
+    of an unsigned block is physical row r; a signed weight sits on row 2r if
+    it is positive and on row 2r+1 if it is negative, with the input sent to
+    both rows of the pair. Temporal noise is drawn for the configured columns.
+    """
     cfg = array.config
-    acc = x.astype(np.float64) @ (array.weights.astype(np.float64) * array.fixed_gain)[:, :cols]
+    rows, cols = array.rows, array.cols
+    w = array.weights[:rows, :cols].astype(np.float64)
+    if array.signed:
+        physical = 2 * np.arange(rows)[:, None] + (w < 0)
+    else:
+        physical = np.broadcast_to(np.arange(rows)[:, None], w.shape)
+    effective = w * array.fixed_gain[physical, np.arange(cols)]
+    acc = x.astype(np.float64) @ effective
     noise = cfg.sigma_temporal / np.sqrt(params.num_sends) * rng.standard_normal((x.shape[0], cols))
     v = cfg.gain * acc + array.neuron_offset[:cols] + noise
     return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -128, 127).astype(np.int8)
@@ -141,34 +166,36 @@ def _written_out_mac(array, x, params, rng, cols):
 def test_default_width_mac_keeps_the_noise_stream():
     rng = np.random.default_rng(4)
     array = SynapseArray(ChipConfig(chip_seed=9), 1)
-    array.configure(rng.integers(-63, 64, size=(ROWS, COLS)).astype(np.int8))
-    x = rng.integers(0, 32, size=(7, ROWS)).astype(np.uint8)
     params = HwParams(num_sends=2)
-    y = array.mac(x, params, np.random.default_rng(11))
-    assert np.array_equal(y, _written_out_mac(array, x, params, np.random.default_rng(11), COLS))
+    for signed in (False, True):
+        array.configure(_block(rng, signed, high=63), signed=signed)
+        x = rng.integers(0, 32, size=(7, array.rows)).astype(np.uint8)
+        y = array.mac(x, params, np.random.default_rng(11))
+        want = _written_out_mac(array, x, params, np.random.default_rng(11))
+        assert y.tobytes() == want.tobytes(), f"signed={signed}"
 
 
 def test_live_column_mac_draws_noise_for_live_columns_only():
     rng = np.random.default_rng(5)
     array = SynapseArray(ChipConfig(chip_seed=9), 0)
-    array.configure(rng.integers(-63, 64, size=(ROWS, 16)).astype(np.int8))
-    x = rng.integers(0, 32, size=(7, ROWS)).astype(np.uint8)
-    y = array.mac(x, HwParams(), np.random.default_rng(11))
-    assert np.array_equal(y[:, :16], _written_out_mac(array, x, HwParams(), np.random.default_rng(11), 16))
-    assert not y[:, 16:].any()
+    for signed in (False, True):
+        array.configure(_block(rng, signed, cols=16, high=63), signed=signed)
+        x = rng.integers(0, 32, size=(7, array.rows)).astype(np.uint8)
+        y = array.mac(x, HwParams(), np.random.default_rng(11))
+        want = _written_out_mac(array, x, HwParams(), np.random.default_rng(11))
+        assert np.array_equal(y[:, :16], want), f"signed={signed}"
+        assert not y[:, 16:].any()
 
 
-def test_short_block_mac_is_the_256_row_product_of_the_padded_input():
-    """A noisy 64x16 block runs the same float product as its zero-padded full-array form."""
+def test_short_signed_block_mac_is_the_folded_product():
+    """A noisy signed 64x16 block equals the written-out folded formula, byte for byte."""
     rng = np.random.default_rng(6)
     array = SynapseArray(ChipConfig(chip_seed=9), 1)
-    array.configure(rng.integers(-63, 64, size=(64, 16)).astype(np.int8))
+    array.configure(rng.integers(-63, 64, size=(64, 16)).astype(np.int8), signed=True)
     x = rng.integers(0, 32, size=(7, 64)).astype(np.uint8)
-    padded = np.zeros((7, ROWS), dtype=np.uint8)
-    padded[:, :64] = x
     params = HwParams(num_sends=3)
     y = array.mac(x, params, np.random.default_rng(12))
-    want = _written_out_mac(array, padded, params, np.random.default_rng(12), 16)
+    want = _written_out_mac(array, x, params, np.random.default_rng(12))
     assert y[:, :16].tobytes() == want.tobytes()
     assert not y[:, 16:].any()
 
@@ -208,18 +235,33 @@ def test_num_sends_reduces_temporal_noise():
 
 
 def test_signed_row_pairs_layout():
-    w = np.array([[3, -2], [-5, 4]], dtype=np.int8)
-    paired = signed_row_pairs(w)
-    assert paired.shape == (4, 2)
-    assert np.array_equal(paired[0], [3, 0])  # excitatory half of row 0
-    assert np.array_equal(paired[1], [0, -2])  # inhibitory half of row 0
-    assert np.array_equal(paired[2], [0, 4])
-    assert np.array_equal(paired[3], [-5, 0])
+    """A signed weight takes the gain of physical row 2r if positive, 2r+1 if negative."""
+    cfg = ChipConfig(sigma_fixed=0.05, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
+    array = SynapseArray(cfg, 0)
+    r, row = 2, np.array([3, -2, 0, -20, 20, -9, 14], dtype=np.int8)
+    w = np.zeros((5, row.size), dtype=np.int8)
+    w[r] = row
+    x = np.array([[7, 1, 5, 31, 0]], dtype=np.uint8)  # only x[r] meets a nonzero weight
+    array.configure(w, signed=True)
+    y = array.mac(x, HwParams(), np.random.default_rng(0))[0, : row.size]
+
+    def rounded(v):
+        return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -128, 127).astype(np.int8)
+
+    cols = np.arange(row.size)
+    g = array.fixed_gain
+    assert np.array_equal(y, rounded(5.0 * row * g[2 * r + (row < 0), cols]))
+    swapped = rounded(5.0 * row * g[2 * r + (row >= 0), cols])
+    assert not np.array_equal(y, swapped)  # the other row of the pair gives another result
 
 
 def test_signed_row_pairs_rejects_oversize():
-    with pytest.raises(WeightOutOfRange):
-        signed_row_pairs(np.zeros((SIGNED_ROWS + 1, 4), dtype=np.int8))
+    """128 signed rows fill the 256 physical rows; an unsigned block may use all 256."""
+    array = SynapseArray(NOISELESS, 0)
+    array.configure(np.zeros((SIGNED_ROWS, 4), dtype=np.int8), signed=True)
+    array.configure(np.zeros((SIGNED_ROWS + 1, 4), dtype=np.int8))
+    with pytest.raises(WeightOutOfRange, match="up to 128x256"):
+        array.configure(np.zeros((SIGNED_ROWS + 1, 4), dtype=np.int8), signed=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,15 +271,15 @@ def test_signed_row_pairs_rejects_oversize():
     seed=st.integers(0, 2**16),
 )
 def test_signed_pairing_preserves_the_product(n, m, seed):
-    """MAC over paired rows with duplicated inputs == signed integer matmul."""
+    """A noise-free MAC of a signed block over its row pairs == signed integer matmul."""
     rng = np.random.default_rng(seed)
     w = rng.integers(-3, 4, size=(n, m)).astype(np.int8)
     x = rng.integers(0, 3, size=(2, n)).astype(np.uint8)
-    paired = signed_row_pairs(w)
-    dup = duplicate_signed_inputs(x)
-    direct = x.astype(np.int64) @ w.astype(np.int64)
-    via_pairs = dup.astype(np.int64) @ paired.astype(np.int64)
-    assert np.array_equal(direct, via_pairs)
+    array = SynapseArray(NOISELESS, 0)
+    array.configure(w, signed=True)
+    y = array.mac(x, HwParams(), np.random.default_rng(0))
+    direct = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127)
+    assert np.array_equal(y[:, :m], direct)
 
 
 def test_chip_has_independent_arrays():

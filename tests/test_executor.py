@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anamac import executor, graph as g, perf
+from anamac import chip, executor, graph as g, perf
 from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, InputOutOfRange, WeightOutOfRange
 from anamac.executor import (
     Executor,
@@ -212,10 +212,20 @@ def _chain(b, weights, data=None, source=None, signed=False, iid=None, binding=(
     return store
 
 
-def _one_instance_graph(data, weights):
+def _one_instance_graph(data, weights, binding=(0, 0)):
     b = g.GraphBuilder()
-    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(_chain(b, weights, data=data),))
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(_chain(b, weights, data=data, binding=binding),))
     return b.build()
+
+
+@pytest.mark.parametrize("binding", [(-1, 0), (0, -1), (0, 2), (-3, 0), (2, 0)], ids=str)
+def test_binding_outside_the_pool_is_unavailable(binding):
+    """(-1, 0) and (0, -1) used to run on chip 1 or array 1; (0, 2) and (-3, 0) raised IndexError."""
+    one = np.array([[1]], dtype=np.uint8)
+    res = SimulatedChips(2, NOISELESS)
+    with pytest.raises(Unavailable, match=r"outside 2 chips x 2 arrays"):
+        Executor(res).run(_one_instance_graph(one, one.astype(np.int8), binding))
+    assert not any(a.ownership_log for c in res.chips for a in c.arrays)
 
 
 @pytest.mark.parametrize("mode", ["simulated_time", "measured_time"])
@@ -361,6 +371,19 @@ def test_failing_default_timing_surfaces(monkeypatch):
     graph, _, _ = _simple_graph(np.random.default_rng(7))
     with pytest.raises(OSError, match="link config unreadable"):
         Executor(SimulatedChips(1, NOISELESS)).run(graph)
+
+
+def test_default_timing_reads_the_link_config_once(monkeypatch):
+    reads = []
+    real = chip._config_text
+    monkeypatch.setattr(chip, "_config_text", lambda name: reads.append(name) or real(name))
+    perf.default_timing.cache_clear()
+    graph, _, _ = _simple_graph(np.random.default_rng(7))
+    ex = Executor(SimulatedChips(1, NOISELESS))
+    _, first = ex.run(graph)
+    _, second = ex.run(graph)
+    assert reads == ["link_8g"]
+    assert first.to_csv() == second.to_csv()
 
 
 def test_load_can_source_a_digital_sum():

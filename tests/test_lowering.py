@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from anamac import lowering
 from anamac.chip import ROWS, SIGNED_ROWS
@@ -70,6 +68,12 @@ def test_expansion_plan_formula():
     assert plan.packed_cols == 256
 
 
+def test_expansion_column_bound_applies():
+    spec = lowering.conv1d_spec(1, 2, k=3, stride=2, extent=11)
+    plan = lowering.plan_expansion(spec, cap_rows=9, cap_cols=6)
+    assert plan.copies == 3  # min((9-3)//2 + 1, 6//2) = min(4, 3)
+
+
 def test_expansion_row_bound_applies():
     spec = lowering.conv1d_spec(2, 2, k=10, stride=2, extent=300)
     plan = lowering.plan_expansion(spec, cap_rows=SIGNED_ROWS)
@@ -82,48 +86,6 @@ def test_expansion_rejects_oversized_kernel():
     spec = lowering.conv1d_spec(8, 1, k=40, stride=1, extent=64)
     with pytest.raises(lowering.KernelTooLarge):
         lowering.plan_expansion(spec, cap_rows=SIGNED_ROWS)
-
-
-def test_pack_expanded_matrix_diagonal_layout():
-    spec = lowering.conv1d_spec(1, 2, k=3, stride=2, extent=11)
-    plan = lowering.plan_expansion(spec, cap_rows=9, cap_cols=6)
-    assert plan.copies == 3
-    mats = [np.full((3, 2), c + 1, dtype=np.int64) for c in range(3)]
-    packed = lowering.pack_expanded_matrix(plan, mats)
-    assert packed.shape == (plan.packed_rows, plan.packed_cols)
-    for c in range(3):
-        block = packed[2 * c : 2 * c + 3, 2 * c : 2 * c + 2]
-        assert np.all(block == c + 1)
-    # everything off the diagonals is zero
-    assert packed.sum() == sum(m.sum() for m in mats)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    k=st.integers(1, 8),
-    stride=st.integers(1, 4),
-    c_in=st.integers(1, 3),
-    c_out=st.integers(1, 4),
-    extra=st.integers(0, 30),
-    seed=st.integers(0, 2**16),
-)
-def test_expanded_execution_matches_direct_conv(k, stride, c_in, c_out, extra, seed):
-    """Diagonal packing computes the same conv, including a partial last run."""
-    rng = np.random.default_rng(seed)
-    spec = lowering.conv1d_spec(c_in, c_out, k=k, stride=stride, extent=k + extra)
-    plan = lowering.plan_expansion(spec, cap_rows=ROWS)
-    kernel = rng.integers(-2, 3, size=(c_out, c_in, k)).astype(np.int64)
-    x = rng.integers(0, 3, size=(3, c_in, k + extra)).astype(np.int64)
-    matrix = lowering.unroll_kernel(spec, kernel)
-    y = lowering.execute_expanded(plan, [matrix] * plan.copies, x)
-    assert np.array_equal(y, lowering.direct_conv(spec, kernel, x))
-
-
-def test_expanded_run_count_shrinks_with_copies():
-    spec = lowering.conv1d_spec(1, 16, k=32, stride=6, extent=128)
-    plan = lowering.plan_expansion(spec, cap_rows=ROWS)
-    assert spec.positions == 17
-    assert lowering.expanded_run_count(plan) == 2  # vs 17 unexpanded runs
 
 
 def test_layout_to_json_reports_expansion():
