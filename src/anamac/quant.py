@@ -16,6 +16,11 @@ WEIGHT_MAX = 63
 OUTPUT_MIN = -128
 OUTPUT_MAX = 127
 
+# Elements per block of the float-to-fixed conversion, so that its two float64
+# buffers (256 KiB each) stay in the L2 cache. On 2048x2048 float32 weights
+# (one BLAS thread, 2 MiB L2 per core) 2**15 ran fastest of 2**12 to 2**17.
+_BLOCK = 2**15
+
 
 class NonFiniteInput(ValueError):
     pass
@@ -42,21 +47,50 @@ def round_half_away(values: np.ndarray) -> np.ndarray:
     return np.trunc(values + np.copysign(0.5, values))
 
 
+def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarray:
+    """``to_fixed(values / scale, lo, hi, dtype)`` one cache-sized block at a time.
+
+    The same elementwise ops as ``round_half_away``, clip and cast, in the same
+    dtype (float64 when dividing by ``scale``), so the bytes are equal; only two
+    block-sized buffers are allocated next to the result, whose memory layout
+    follows ``values`` as a ufunc's would.
+    """
+    out = np.empty_like(values, dtype=dtype)
+    n = min(values.size, _BLOCK)
+    quotient = np.empty(n, np.float64) if scale is not None else None
+    rounded = np.empty(n, np.float64 if scale is not None else np.result_type(values, 0.5))
+    with np.nditer(
+        [values, out],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"], ["writeonly"]],
+        buffersize=_BLOCK,
+    ) as blocks:
+        for src, dst in blocks:
+            k = src.shape[0]
+            if scale is not None:
+                src = np.divide(src, scale, out=quotient[:k], dtype=np.float64)
+            r = np.copysign(0.5, src, out=rounded[:k])
+            np.add(src, r, out=r)
+            np.trunc(r, out=r)
+            np.clip(r, lo, hi, out=r)
+            dst[...] = r
+    return out
+
+
 def to_fixed(values, lo, hi, dtype) -> np.ndarray:
     """Round half away from zero, clamp to [lo, hi], cast to ``dtype``.
 
     The one float-to-fixed-point conversion: inputs, weights and both ADC
     models digitise through it. ``values`` is never written to.
     """
-    r = np.asarray(round_half_away(values))
-    return np.clip(r, lo, hi, out=r).astype(dtype)
+    return _to_fixed_blocks(np.asarray(values), lo, hi, dtype)
 
 
 def quantize_inputs(x, spec: QuantSpec) -> np.ndarray:
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("inputs contain NaN or infinity")
-    return to_fixed(np.divide(x, spec.input_scale, dtype=np.float64), 0, INPUT_MAX, np.uint8)
+    return _to_fixed_blocks(x, 0, INPUT_MAX, np.uint8, spec.input_scale)
 
 
 def quantize_weights(w, spec: QuantSpec) -> np.ndarray:
@@ -64,7 +98,7 @@ def quantize_weights(w, spec: QuantSpec) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise NonFiniteInput("weights contain NaN or infinity")
     lo = -WEIGHT_MAX if spec.signed_weights else 0
-    return to_fixed(np.divide(w, spec.weight_scale, dtype=np.float64), lo, WEIGHT_MAX, np.int8)
+    return _to_fixed_blocks(w, lo, WEIGHT_MAX, np.int8, spec.weight_scale)
 
 
 def dequantize_outputs(y, spec: QuantSpec) -> np.ndarray:
@@ -74,13 +108,19 @@ def dequantize_outputs(y, spec: QuantSpec) -> np.ndarray:
     return y.astype(np.float32) * np.float32(spec.output_scale)
 
 
+def _max_abs(a) -> float:
+    """max(|a|) without an |a| copy; float before negating, so int8 -128 gives 128."""
+    a = np.asarray(a)
+    return max(float(a.max(initial=0)), -float(a.min(initial=0)))
+
+
 def input_scale_for(x) -> float:
-    """Convenience calibration: scale = max(|x|) / 31 (1.0 for all-zero data)."""
-    m = float(np.max(np.abs(x), initial=0.0))
+    """Convenience calibration: scale = max(|x|) / 31 (1.0 for all-zero or NaN data)."""
+    m = _max_abs(x)
     return m / INPUT_MAX if m > 0 else 1.0
 
 
 def weight_scale_for(w) -> float:
-    """Convenience calibration: scale = max(|w|) / 63 (1.0 for all-zero data)."""
-    m = float(np.max(np.abs(w), initial=0.0))
+    """Convenience calibration: scale = max(|w|) / 63 (1.0 for all-zero or NaN data)."""
+    m = _max_abs(w)
     return m / WEIGHT_MAX if m > 0 else 1.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from anamac.quant import (
     OUTPUT_MAX,
     OUTPUT_MIN,
     WEIGHT_MAX,
+    _BLOCK,
     NonFiniteInput,
     QuantSpec,
     dequantize_outputs,
@@ -63,20 +66,92 @@ _FIXED_FORMATS = [  # inputs, signed and unsigned weights, ADC outputs
 _FIXED_EDGES = [0.5, 1.5, 2.5, 31.5, 63.5, 127.5, 128.5, 0.0, 0.49999999999999994, np.inf]
 
 
+# None keeps the drawn values as they are; the lengths straddle the block edges
+_FIXED_SHAPES = [None, (), 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+def _argument(values, shape, dtype):
+    """The drawn values tiled to ``shape`` (() takes the first) in ``dtype``."""
+    v = values if shape is None else np.resize(values, shape)
+    if np.dtype(dtype).kind == "i":
+        return np.trunc(np.clip(v, -128, 127)).astype(dtype)
+    with np.errstate(over="ignore"):  # the float32 cast takes huge values to inf
+        return v.astype(dtype)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
     st.sampled_from(_FIXED_FORMATS),
+    st.sampled_from(_FIXED_SHAPES),
+    st.sampled_from([np.float64, np.float32, np.int8]),
 )
-def test_to_fixed_is_round_clamp_cast(values, fmt):
+def test_to_fixed_is_round_clamp_cast(values, fmt, shape, arg_dtype):
     """Ties, +-0 and +-inf included; NaN is left out because its integer cast is undefined."""
     lo, hi, dtype = fmt
     v = np.array(values + _FIXED_EDGES + [-e for e in _FIXED_EDGES], dtype=np.float64)
+    v = _argument(v, shape, arg_dtype)
     before = v.copy()
     q = to_fixed(v, lo, hi, dtype)
-    assert q.dtype == dtype
-    assert np.array_equal(q, np.clip(round_half_away(v), lo, hi).astype(dtype))
+    expected = np.clip(round_half_away(v), lo, hi).astype(dtype)
+    assert q.dtype == dtype and q.shape == v.shape
+    assert q.tobytes() == expected.tobytes()
     assert np.array_equal(v, before) and np.array_equal(np.signbit(v), np.signbit(before))
+
+
+def _reference_quantize(a, scale, lo, hi, dtype):
+    return np.clip(round_half_away(np.divide(a, scale, dtype=np.float64)), lo, hi).astype(dtype)
+
+
+_rng = np.random.default_rng(7)
+_QUANTIZER_INPUTS = {
+    "block-crossing": (_rng.standard_normal((67, 1001)) * 40).astype(np.float32),
+    "transposed": (_rng.standard_normal((300, 250)) * 40).T,
+    "strided-transposed": (_rng.standard_normal((130, 777)) * 40)[:, ::3].T,
+    "0-d": np.array(-7.25),
+    "quotient-overflow": np.array([1e300, -1e300, 1.0, -0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUANTIZER_INPUTS))
+def test_quantizers_equal_the_float64_reference(name):
+    a = _QUANTIZER_INPUTS[name]
+    scale = 1e-300 if name == "quotient-overflow" else 0.37
+    with np.errstate(over="ignore"):
+        for signed in (True, False):
+            spec = QuantSpec(input_scale=scale, weight_scale=scale, signed_weights=signed)
+            lo = -WEIGHT_MAX if signed else 0
+            cases = [
+                (quantize_inputs(a, spec), _reference_quantize(a, scale, 0, INPUT_MAX, np.uint8)),
+                (quantize_weights(a, spec), _reference_quantize(a, scale, lo, WEIGHT_MAX, np.int8)),
+            ]
+            for q, expected in cases:
+                assert (q.dtype, q.shape, q.strides) == (expected.dtype, expected.shape, expected.strides)
+                assert q.tobytes() == expected.tobytes()
+    if a.size > 1:
+        bad = a.copy()
+        bad.flat[-1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            quantize_inputs(bad, QuantSpec())
+        with pytest.raises(NonFiniteInput):
+            quantize_weights(bad, QuantSpec())
+
+
+def _traced_peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantization_builds_no_full_size_temporary():
+    """1024x1024 float32 weights: a full-size float64 copy alone would be 8 MB."""
+    w = np.random.default_rng(3).standard_normal((1024, 1024)).astype(np.float32)
+    spec = QuantSpec(weight_scale=weight_scale_for(w))
+    assert _traced_peak_bytes(quantize_weights, w, spec) < 4 * 2**20  # the int8 result is 1 MB
+    assert _traced_peak_bytes(weight_scale_for, w) < 2**20
 
 
 def test_quantizers_leave_their_input_unchanged():
@@ -170,3 +245,19 @@ def test_calibrated_scales_use_full_range(values):
 def test_zero_data_scale_defaults_to_one():
     assert input_scale_for(np.zeros(4)) == 1.0
     assert weight_scale_for(np.zeros(4)) == 1.0
+    assert input_scale_for(np.array([np.nan, 2.0])) == 1.0
+    assert weight_scale_for(np.array([1.0, np.nan])) == 1.0
+
+
+@pytest.mark.parametrize(
+    "data, max_abs",
+    [
+        (np.array([-3.0, 2.0]), 3.0),
+        (np.array([0.5, -0.25], dtype=np.float32), 0.5),
+        (np.array([[1, 200]], dtype=np.uint8), 200.0),
+        (np.array([-128, 1], dtype=np.int8), 128.0),  # -128 has no int8 absolute value
+    ],
+)
+def test_calibrated_scale_is_max_abs_over_the_domain_max(data, max_abs):
+    assert input_scale_for(data) == max_abs / INPUT_MAX
+    assert weight_scale_for(data) == max_abs / WEIGHT_MAX
