@@ -92,7 +92,12 @@ def unroll_kernel(spec: ConvSpec, kernel: np.ndarray) -> np.ndarray:
 
 
 def gather_input_vectors(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
-    """(B, C_in, *L) input -> (B * positions, taps * C_in) matmul inputs."""
+    """(B, C_in, *L) input -> (B * positions, taps * C_in) matmul inputs.
+
+    Rows are ordered batch-major, then by output position (row-major over the
+    spatial dims); each row is its window tap-major, channel-minor. The result
+    is a new C-contiguous array of ``x``'s dtype.
+    """
     x = np.asarray(x)
     single = x.ndim == spec.dims + 1
     if single:
@@ -102,23 +107,15 @@ def gather_input_vectors(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
             f"input shape {x.shape[1:]}, expected {(spec.in_channels,) + spec.extent}"
         )
     batch = x.shape[0]
-    vectors = np.empty((batch, spec.positions, spec.matrix_rows), dtype=x.dtype)
-    if spec.dims == 1:
-        (k,), (s,) = spec.kernel, spec.stride
-        for p in range(spec.positions):
-            # window (C_in, k) -> rows ordered tap-major, channel-minor
-            window = x[:, :, p * s : p * s + k]
-            vectors[:, p] = window.transpose(0, 2, 1).reshape(batch, -1)
-    else:
-        (k1, k2), (s1, s2) = spec.kernel, spec.stride
-        p1, p2 = spec.out_extent
-        for i in range(p1):
-            for j in range(p2):
-                window = x[:, :, i * s1 : i * s1 + k1, j * s2 : j * s2 + k2]
-                # (B, C_in, k1, k2) -> tap-major (k1, k2), channel-minor
-                vec = window.transpose(0, 2, 3, 1).reshape(batch, -1)
-                vectors[:, i * p2 + j] = vec
-    return vectors.reshape(batch * spec.positions, spec.matrix_rows)
+    # channel-last, so that every window is one contiguous run of taps * C_in values
+    channel_last = np.ascontiguousarray(np.moveaxis(x, 1, -1))
+    spatial = tuple(range(1, spec.dims + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        channel_last, spec.kernel + (spec.in_channels,), axis=spatial + (spec.dims + 1,)
+    )
+    # (B, *L - k + 1, 1, *k, C_in) -> (B, *out_extent, *k, C_in)
+    windows = windows[(slice(None),) + tuple(slice(None, None, s) for s in spec.stride) + (0,)]
+    return np.array(windows, order="C").reshape(batch * spec.positions, spec.matrix_rows)
 
 
 @dataclass(frozen=True)

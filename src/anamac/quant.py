@@ -51,13 +51,17 @@ def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarra
     """``to_fixed(values / scale, lo, hi, dtype)`` one cache-sized block at a time.
 
     The same elementwise ops as ``round_half_away``, clip and cast, in the same
-    dtype (float64 when dividing by ``scale``), so the bytes are equal; only two
+    dtype (float64 when dividing by ``scale``), so the bytes are equal; only
     block-sized buffers are allocated next to the result, whose memory layout
-    follows ``values`` as a ufunc's would.
+    follows ``values`` as a ufunc's would. When dividing by ``scale``, each
+    block is checked to be finite before the division (a finite value whose
+    quotient overflows still clips to the rail); a NaN or infinity raises a
+    bare ``NonFiniteInput`` that the quantizers re-raise with their message.
     """
     out = np.empty_like(values, dtype=dtype)
     n = min(values.size, _BLOCK)
     quotient = np.empty(n, np.float64) if scale is not None else None
+    finite = np.empty(n, np.bool_) if scale is not None else None
     rounded = np.empty(n, np.float64 if scale is not None else np.result_type(values, 0.5))
     with np.nditer(
         [values, out],
@@ -68,6 +72,8 @@ def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarra
         for src, dst in blocks:
             k = src.shape[0]
             if scale is not None:
+                if not np.isfinite(src, out=finite[:k]).all():
+                    raise NonFiniteInput
                 src = np.divide(src, scale, out=quotient[:k], dtype=np.float64)
             r = np.copysign(0.5, src, out=rounded[:k])
             np.add(src, r, out=r)
@@ -87,18 +93,18 @@ def to_fixed(values, lo, hi, dtype) -> np.ndarray:
 
 
 def quantize_inputs(x, spec: QuantSpec) -> np.ndarray:
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("inputs contain NaN or infinity")
-    return _to_fixed_blocks(x, 0, INPUT_MAX, np.uint8, spec.input_scale)
+    try:
+        return _to_fixed_blocks(np.asarray(x), 0, INPUT_MAX, np.uint8, spec.input_scale)
+    except NonFiniteInput:
+        raise NonFiniteInput("inputs contain NaN or infinity") from None
 
 
 def quantize_weights(w, spec: QuantSpec) -> np.ndarray:
-    w = np.asarray(w)
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteInput("weights contain NaN or infinity")
     lo = -WEIGHT_MAX if spec.signed_weights else 0
-    return _to_fixed_blocks(w, lo, WEIGHT_MAX, np.int8, spec.weight_scale)
+    try:
+        return _to_fixed_blocks(np.asarray(w), lo, WEIGHT_MAX, np.int8, spec.weight_scale)
+    except NonFiniteInput:
+        raise NonFiniteInput("weights contain NaN or infinity") from None
 
 
 def dequantize_outputs(y, spec: QuantSpec) -> np.ndarray:

@@ -85,13 +85,43 @@ def quantized_matmul(
     Returns (y_float, RunTrace).
     """
     spec = quant_spec(x, w, resources.config.gain)
-    xq = quantize_inputs(x, spec)
-    wq = quantize_weights(w, spec)
-    plan = partition_matmul(w.shape[0], w.shape[1], signed=True, arrays=resources.array_bindings())
+    xq, wq = quantize_inputs(x, spec), quantize_weights(w, spec)
+    return _chip_matmul(xq, wq, spec, resources, hw_params, mode, seed_salt)
+
+
+def _chip_matmul(xq, wq, spec: QuantSpec, resources: SimulatedChips, hw_params, mode, seed_salt):
+    plan = partition_matmul(wq.shape[0], wq.shape[1], signed=True, arrays=resources.array_bindings())
     graph = build_graph(plan, wq, xq, hw_params=hw_params)
     outputs, trace = Executor(resources, seed_salt=seed_salt).run(graph, mode=mode)
     (y8,) = outputs.values()
     return dequantize_outputs(y8, spec), trace
+
+
+def _gain(ctx: ForwardContext) -> float:
+    """The output gain of ``ctx``'s chips; the software model builds no pool to read it."""
+    if ctx.resources is not None:
+        return ctx.resources.config.gain
+    return global_resources().config.gain if ctx.backend == "chip" else ChipConfig().gain
+
+
+def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
+    """Dequantized ``xq @ wq`` through ``ctx``'s backend, calibrated by ``spec``."""
+    if ctx.backend == "chip":
+        # None: one global pool, so the fixed pattern persists across calls
+        resources = ctx.resources if ctx.resources is not None else global_resources()
+        hw_params = getattr(layer, "hw_params", None)
+        y, _ = _chip_matmul(xq, wq, spec, resources, hw_params, "simulated_time", ctx.seed_salt)
+        return y
+    if ctx.backend != "software":
+        raise ValueError(f"unknown backend {ctx.backend!r}")
+    # float64 BLAS is exact here: |acc| <= 31 * 63 * N stays far below 2**53
+    acc = xq.astype(np.float64) @ wq.astype(np.float64)
+    analog = _gain(ctx) * acc
+    if ctx.noise_lsb > 0:
+        rng = ctx.rng or np.random.default_rng()
+        analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
+    y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
+    return dequantize_outputs(y8, spec)
 
 
 def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
@@ -101,26 +131,8 @@ def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
     the dequantized outputs for the backward pass.
     """
     w = layer.weights
-    if ctx.backend == "chip":
-        # None: one global pool, so the fixed pattern persists across calls
-        resources = ctx.resources if ctx.resources is not None else global_resources()
-        y, _ = quantized_matmul(x, w, resources, getattr(layer, "hw_params", None), seed_salt=ctx.seed_salt)
-    elif ctx.backend == "software":
-        gain = ctx.resources.config.gain if ctx.resources is not None else ChipConfig().gain
-        spec = quant_spec(x, w, gain)
-        xq = quantize_inputs(x, spec)
-        wq = quantize_weights(w, spec)
-        # float64 BLAS is exact here: |acc| <= 31 * 63 * N stays far below 2**53
-        acc = xq.astype(np.float64) @ wq.astype(np.float64)
-        analog = gain * acc
-        if ctx.noise_lsb > 0:
-            rng = ctx.rng or np.random.default_rng()
-            analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
-        y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
-        y = dequantize_outputs(y8, spec)
-    else:
-        raise ValueError(f"unknown backend {ctx.backend!r}")
-
+    spec = quant_spec(x, w, _gain(ctx))
+    y = _forward_quantized(quantize_inputs(x, spec), quantize_weights(w, spec), spec, layer, ctx)
     state = {"x": np.asarray(x, dtype=np.float32), "y": y}
     return y, state
 
@@ -181,14 +193,25 @@ class Conv1dLayer:
         return lowering.unroll_kernel(self.spec, self.kernel)
 
     def forward(self, x, ctx: ForwardContext):
+        """``matmul_forward`` on the gathered input vectors, folded to (B, C_out, *P).
+
+        The scales are calibrated on the float vectors, which the backward
+        pass keeps, so samples that no window reads do not move them. Each
+        input sample is then quantized once, not once per window it falls in,
+        and the integer windows are gathered from the quantized signal: the
+        same operands as quantizing the vectors.
+        """
         x = np.asarray(x, dtype=np.float32)
         vectors = lowering.gather_input_vectors(self.spec, x)
-        y_flat, state = matmul_forward(vectors, self, ctx)
+        w = self.weights
+        spec = quant_spec(vectors, w, _gain(ctx))
+        xq = lowering.gather_input_vectors(self.spec, quantize_inputs(x, spec))
+        y_flat = _forward_quantized(xq, quantize_weights(w, spec), spec, self, ctx)
         desc = lowering.OutputDescriptor(x.shape[0], self.spec.out_channels, self.spec.out_extent)
         y = desc.fold(y_flat)
         if self.truncate_positions is not None:
             y = y[..., : self.truncate_positions]
-        self._state = {"x": state["x"], "batch": x.shape[0]}
+        self._state = {"x": vectors, "batch": x.shape[0]}
         return y
 
     def backward(self, grad_y):

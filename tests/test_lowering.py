@@ -51,6 +51,69 @@ def test_spec_validation():
         lowering.conv1d_spec(1, 1, k=2, stride=0, extent=4)
 
 
+def _gather_loop(spec, x):
+    """One window copy per output position: the reference for the strided gather."""
+    x = np.asarray(x)
+    if x.ndim == spec.dims + 1:
+        x = x[None]
+    batch = x.shape[0]
+    vectors = np.empty((batch, spec.positions, spec.matrix_rows), dtype=x.dtype)
+    if spec.dims == 1:
+        (k,), (s,) = spec.kernel, spec.stride
+        for p in range(spec.positions):
+            window = x[:, :, p * s : p * s + k]
+            vectors[:, p] = window.transpose(0, 2, 1).reshape(batch, -1)
+    else:
+        (k1, k2), (s1, s2) = spec.kernel, spec.stride
+        p1, p2 = spec.out_extent
+        for i in range(p1):
+            for j in range(p2):
+                window = x[:, :, i * s1 : i * s1 + k1, j * s2 : j * s2 + k2]
+                vectors[:, i * p2 + j] = window.transpose(0, 2, 3, 1).reshape(batch, -1)
+    return vectors.reshape(batch * spec.positions, spec.matrix_rows)
+
+
+def _gather_case(name, dtype):
+    rng = np.random.default_rng(11)
+
+    def signal(shape):
+        return (rng.random(shape) * 200).astype(dtype)
+
+    if name == "har":
+        spec = lowering.conv1d_spec(9, 16, k=32, stride=6, extent=128)
+        return spec, signal((4, 9, 128))
+    if name == "stride-over-kernel":
+        spec = lowering.conv1d_spec(3, 2, k=2, stride=5, extent=23)
+        return spec, signal((2, 3, 23))
+    if name == "stride-1":
+        spec = lowering.conv1d_spec(2, 3, k=4, stride=1, extent=10)
+        return spec, signal((3, 2, 10))
+    if name == "unbatched":  # one channel, windows abutting: the windows alone tile x
+        spec = lowering.conv1d_spec(1, 1, k=3, stride=3, extent=12)
+        return spec, signal((1, 12))
+    if name == "non-contiguous":
+        spec = lowering.conv1d_spec(3, 2, k=3, stride=2, extent=11)
+        return spec, signal((2, 22, 3)).transpose(0, 2, 1)[:, :, ::2]
+    spec = lowering.conv2d_spec(2, 3, kernel=(3, 2), stride=(1, 3), extent=(7, 9))
+    return spec, signal((2, 2, 7, 9))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+@pytest.mark.parametrize(
+    "name", ["har", "stride-over-kernel", "stride-1", "unbatched", "non-contiguous", "conv2d"]
+)
+def test_gather_equals_the_per_position_loop(name, dtype):
+    spec, x = _gather_case(name, dtype)
+    before = x.copy()
+    vectors = lowering.gather_input_vectors(spec, x)
+    expected = _gather_loop(spec, x)
+    assert (vectors.dtype, vectors.shape) == (expected.dtype, expected.shape)
+    assert vectors.flags.c_contiguous
+    assert vectors.tobytes() == expected.tobytes()
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(vectors, x)
+
+
 def test_gather_rejects_wrong_input_shape():
     spec = lowering.conv1d_spec(2, 1, k=3, stride=1, extent=8)
     with pytest.raises(lowering.ShapeMismatch):

@@ -205,6 +205,18 @@ def test_nonfinite_rejected():
         quantize_weights(np.array([np.inf]), spec)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_nonfinite_found_in_the_first_and_the_last_block(bad, where):
+    """The finite check runs per conversion block, the last one 3 elements long."""
+    a = np.ones(2 * _BLOCK + 3, dtype=np.float32)
+    a[0 if where == "first" else -1] = bad
+    with pytest.raises(NonFiniteInput, match="^inputs contain NaN or infinity$"):
+        quantize_inputs(a, QuantSpec())
+    with pytest.raises(NonFiniteInput, match="^weights contain NaN or infinity$"):
+        quantize_weights(a, QuantSpec())
+
+
 def test_spec_validates_scales():
     with pytest.raises(ValueError):
         QuantSpec(input_scale=0.0)

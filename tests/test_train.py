@@ -5,7 +5,8 @@ import pytest
 
 from anamac.chip import ChipConfig
 from anamac.executor import SimulatedChips, global_resources, reset_resources
-from anamac.quant import round_half_away
+from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
+from anamac.quant import quantize_inputs, round_half_away
 from anamac.train import (
     HAR_SIGNALS,
     Conv1dLayer,
@@ -181,6 +182,56 @@ def test_conv1d_truncation_and_backward_shapes():
     assert y.shape == (3, 16, 16)  # 17 positions truncated to 16
     layer.backward(np.ones_like(y))
     assert layer.grad_kernel.shape == layer.kernel.shape
+
+
+def _conv_cases():
+    rng = np.random.default_rng(12)
+    har = conv1d_spec(9, 16, k=32, stride=6, extent=128)
+    x_har = rng.standard_normal((4, 9, 128)).astype(np.float32)
+    # stride 5 > k 3: samples 3, 4, 8, 9, ..., 28, 29 fall in no window
+    gappy = conv1d_spec(3, 4, k=3, stride=5, extent=30)
+    x_gap = rng.standard_normal((2, 3, 30)).astype(np.float32)
+    x_gap[1, 2, 4] = 100.0  # the largest |x| sits in a skipped sample
+    return [(har, x_har, 16), (gappy, x_gap, None)]
+
+
+@pytest.mark.parametrize("backend", ["software", "software-noisy", "chip"])
+def test_conv1d_forward_equals_matmul_forward_on_the_gathered_vectors(backend):
+    res = SimulatedChips(1)
+
+    def ctx():
+        if backend == "chip":
+            return ForwardContext(backend="chip", resources=res, seed_salt=3)
+        if backend == "software-noisy":
+            return ForwardContext(noise_lsb=2.0, rng=np.random.default_rng(9))
+        return ForwardContext()
+
+    for spec, x, truncate in _conv_cases():
+        layer = Conv1dLayer(spec, np.random.default_rng(13), truncate_positions=truncate)
+        y = layer.forward(x, ctx())
+        vectors = gather_input_vectors(spec, x)
+        y_flat, _ = matmul_forward(vectors, layer, ctx())
+        ref = OutputDescriptor(len(x), spec.out_channels, spec.out_extent).fold(y_flat)[..., :truncate]
+        assert (y.dtype, y.shape) == (ref.dtype, ref.shape)
+        assert y.tobytes() == ref.tobytes()
+        assert layer._state["x"].tobytes() == vectors.tobytes()  # the backward pass's operand
+
+
+def test_conv1d_quantizes_each_input_sample_once(monkeypatch):
+    """The conv quantizes its (B, C_in, L) signal, not its (B * P, k * C_in) vectors."""
+    sizes = []
+
+    def recording(a, spec):
+        sizes.append(np.size(a))
+        return quantize_inputs(a, spec)
+
+    monkeypatch.setattr("anamac.train.quantize_inputs", recording)
+    spec = conv1d_spec(9, 16, k=32, stride=6, extent=128)
+    layer = Conv1dLayer(spec, np.random.default_rng(14), truncate_positions=16)
+    x = np.random.default_rng(15).standard_normal((4, 9, 128)).astype(np.float32)
+    for backend in ("software", "chip"):
+        layer.forward(x, ForwardContext(backend=backend, resources=SimulatedChips(1)))
+    assert sizes == [4 * 9 * 128] * 2  # not 4 * 17 * 32 * 9 vector entries
 
 
 def test_dense_layer_step_descends_gradient():
