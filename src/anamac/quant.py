@@ -50,19 +50,23 @@ def round_half_away(values: np.ndarray) -> np.ndarray:
 def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarray:
     """``to_fixed(values / scale, lo, hi, dtype)`` one cache-sized block at a time.
 
-    The same elementwise ops as ``round_half_away``, clip and cast, in the same
-    dtype (float64 when dividing by ``scale``), so the bytes are equal; only
-    block-sized buffers are allocated next to the result, whose memory layout
-    follows ``values`` as a ufunc's would. When dividing by ``scale``, each
-    block is checked to be finite before the division (a finite value whose
-    quotient overflows still clips to the rail); a NaN or infinity raises a
-    bare ``NonFiniteInput`` that the quantizers re-raise with their message.
+    The same result as ``round_half_away``, clip and cast, computed in the same
+    dtype (float64 when dividing by ``scale``) in fewer passes: clip first, which
+    is exact because rounding is monotone and the rails are integers; then add
+    0.5 away from zero (plain 0.5 when ``lo >= 0``, where every clipped value is
+    non-negative) and let the integer cast truncate the result, which lies in
+    [lo - 0.5, hi + 0.5]. Only block-sized buffers are allocated next to the
+    result, whose memory layout follows ``values`` as a ufunc's would. When
+    dividing by ``scale``, each block is checked to be finite before the
+    division (a finite value whose quotient overflows still clips to the rail);
+    a NaN or infinity raises a bare ``NonFiniteInput`` that the quantizers
+    re-raise with their message.
     """
     out = np.empty_like(values, dtype=dtype)
     n = min(values.size, _BLOCK)
-    quotient = np.empty(n, np.float64) if scale is not None else None
-    finite = np.empty(n, np.bool_) if scale is not None else None
     rounded = np.empty(n, np.float64 if scale is not None else np.result_type(values, 0.5))
+    finite = np.empty(n, np.bool_) if scale is not None else None
+    half = np.empty(n, rounded.dtype) if lo < 0 else None
     with np.nditer(
         [values, out],
         flags=["external_loop", "buffered", "zerosize_ok"],
@@ -71,15 +75,20 @@ def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarra
     ) as blocks:
         for src, dst in blocks:
             k = src.shape[0]
+            r = rounded[:k]
             if scale is not None:
                 if not np.isfinite(src, out=finite[:k]).all():
                     raise NonFiniteInput
-                src = np.divide(src, scale, out=quotient[:k], dtype=np.float64)
-            r = np.copysign(0.5, src, out=rounded[:k])
-            np.add(src, r, out=r)
-            np.trunc(r, out=r)
-            np.clip(r, lo, hi, out=r)
-            dst[...] = r
+                r[...] = src
+                np.divide(r, scale, out=r)
+                np.clip(r, lo, hi, out=r)
+            else:
+                np.clip(src, lo, hi, out=r, dtype=r.dtype)
+            if half is None:
+                np.add(r, 0.5, out=r)
+            else:
+                np.add(r, np.copysign(0.5, r, out=half[:k]), out=r)
+            dst[...] = r  # truncates
     return out
 
 

@@ -22,8 +22,10 @@ from .chip import ChipConfig, HwParams
 from .executor import Executor, SimulatedChips, global_resources
 from .partition import build_graph, partition_matmul
 from .quant import (
+    INPUT_MAX,
     OUTPUT_MAX,
     OUTPUT_MIN,
+    WEIGHT_MAX,
     QuantSpec,
     dequantize_outputs,
     input_scale_for,
@@ -33,6 +35,11 @@ from .quant import (
     weight_scale_for,
 )
 from .tensor import read_tensor, tensor, write_tensor
+
+
+# Rows of an integer product that float32 sums exactly: every partial sum of up
+# to this many products of |x| <= 31 and |w| <= 63 stays below 2**24.
+_EXACT_F32_ROWS = 2**24 // (INPUT_MAX * WEIGHT_MAX)
 
 
 class MissingState(RuntimeError):
@@ -114,14 +121,25 @@ def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
         return y
     if ctx.backend != "software":
         raise ValueError(f"unknown backend {ctx.backend!r}")
-    # float64 BLAS is exact here: |acc| <= 31 * 63 * N stays far below 2**53
-    acc = xq.astype(np.float64) @ wq.astype(np.float64)
-    analog = _gain(ctx) * acc
+    analog = _gain(ctx) * _integer_product(xq, wq)
     if ctx.noise_lsb > 0:
         rng = ctx.rng or np.random.default_rng()
         analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
     y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
     return dequantize_outputs(y8, spec)
+
+
+def _integer_product(xq, wq) -> np.ndarray:
+    """The exact float64 ``xq @ wq`` of input and weight codes, by float32 BLAS.
+
+    Each chunk of ``_EXACT_F32_ROWS`` rows is exact in float32, and the chunk
+    results are summed in float64, which is exact too.
+    """
+    acc = np.zeros(xq.shape[:-1] + wq.shape[1:], np.float64)
+    for lo in range(0, wq.shape[0], _EXACT_F32_ROWS):
+        hi = lo + _EXACT_F32_ROWS
+        acc += xq[..., lo:hi].astype(np.float32) @ wq[lo:hi].astype(np.float32)
+    return acc
 
 
 def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):

@@ -99,6 +99,25 @@ def test_to_fixed_is_round_clamp_cast(values, fmt, shape, arg_dtype):
     assert np.array_equal(v, before) and np.array_equal(np.signbit(v), np.signbit(before))
 
 
+# every tie from -129.5 to 129.5 (among them +-62.5, +-63.5, 30.5, 31.5, 126.5,
+# 127.5 and -128.5 at the rails), signed zeros, negatives below the unsigned
+# domains' 0 rail, and values that overflow a float32 argument
+_CHAIN_EDGES = np.array(
+    [k + 0.5 for k in range(-130, 130)]
+    + [0.0, -0.0, -0.25, -0.5, -0.75, -31.5, 0.49999999999999994, 0.4999999701976776, 1e300, -1e300]
+)
+
+
+@pytest.mark.parametrize("fmt", _FIXED_FORMATS)
+@pytest.mark.parametrize("arg_dtype", [np.float64, np.float32, np.int8])
+def test_to_fixed_chain_edges(fmt, arg_dtype):
+    """Clip, add 0.5 away from zero, truncating cast: the bytes of round, clip, cast."""
+    lo, hi, dtype = fmt
+    v = _argument(np.concatenate([_CHAIN_EDGES, [np.inf, -np.inf]]), None, arg_dtype)
+    expected = np.clip(round_half_away(v), lo, hi).astype(dtype)
+    assert to_fixed(v, lo, hi, dtype).tobytes() == expected.tobytes()
+
+
 def _reference_quantize(a, scale, lo, hi, dtype):
     return np.clip(round_half_away(np.divide(a, scale, dtype=np.float64)), lo, hi).astype(dtype)
 
@@ -135,6 +154,21 @@ def test_quantizers_equal_the_float64_reference(name):
             quantize_inputs(bad, QuantSpec())
         with pytest.raises(NonFiniteInput):
             quantize_weights(bad, QuantSpec())
+
+
+@pytest.mark.parametrize("arg_dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("scale", [0.25, 1e-300])  # exact quotients, so ties stay ties; quotient overflow
+def test_quantizers_at_the_chain_edges(arg_dtype, scale):
+    with np.errstate(over="ignore", under="ignore"):
+        a = (_CHAIN_EDGES * scale).astype(arg_dtype)
+        a = a[np.isfinite(a)]  # +-1e300 overflow a float32 argument
+        for signed in (True, False):
+            spec = QuantSpec(input_scale=scale, weight_scale=scale, signed_weights=signed)
+            lo = -WEIGHT_MAX if signed else 0
+            expected_x = _reference_quantize(a, scale, 0, INPUT_MAX, np.uint8)
+            expected_w = _reference_quantize(a, scale, lo, WEIGHT_MAX, np.int8)
+            assert quantize_inputs(a, spec).tobytes() == expected_x.tobytes()
+            assert quantize_weights(a, spec).tobytes() == expected_w.tobytes()
 
 
 def _traced_peak_bytes(fn, *args) -> int:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from anamac.chip import ChipConfig
 from anamac.executor import SimulatedChips, global_resources, reset_resources
 from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
-from anamac.quant import quantize_inputs, round_half_away
+from anamac.quant import INPUT_MAX, WEIGHT_MAX, quantize_inputs, round_half_away
 from anamac.train import (
     HAR_SIGNALS,
+    _EXACT_F32_ROWS,
     Conv1dLayer,
     DenseLayer,
     Flatten,
@@ -20,6 +22,7 @@ from anamac.train import (
     RaggedRow,
     ReLU,
     Sequential,
+    _integer_product,
     confusion_matrix,
     cross_entropy_grad,
     har_model,
@@ -151,6 +154,86 @@ def test_software_noise_is_added_before_the_one_digitisation():
     y8 = np.clip(round_half_away(analog), -128, 127)
     assert 0 < np.count_nonzero((y8 == -128) | (y8 == 127)) < y8.size
     assert np.array_equal(y, y8.astype(np.float32) * np.float32(64.0))
+
+
+# -- the software model's integer product -------------------------------------
+
+
+def _int64_product(xq, wq):
+    return xq.astype(np.int64) @ wq.astype(np.int64)
+
+
+@pytest.mark.parametrize("rows", [_EXACT_F32_ROWS, _EXACT_F32_ROWS + 1])
+def test_integer_product_is_exact_at_the_rails(rows):
+    """All 31 against all +-63, the largest partial sums: in one chunk, then in two."""
+    assert _EXACT_F32_ROWS == 8590
+    xq = np.full((2, rows), INPUT_MAX, np.uint8)
+    wq = np.empty((rows, 2), np.int8)
+    wq[:, 0], wq[:, 1] = WEIGHT_MAX, -WEIGHT_MAX
+    acc = _integer_product(xq, wq)
+    assert acc.dtype == np.float64
+    assert np.array_equal(acc, _int64_product(xq, wq))
+    # one more row and a single float32 product cannot hold the sum: 31 * 63 * 8591 > 2**24
+    single = xq.astype(np.float32) @ wq.astype(np.float32)
+    assert np.array_equal(single, _int64_product(xq, wq)) == (rows <= _EXACT_F32_ROWS)
+
+
+@pytest.mark.parametrize(
+    "lead, n, m",
+    [((1,), 1, 1), ((3,), 0, 2), ((1088,), 288, 16), ((2, 3), 256, 5), ((3,), 2 * _EXACT_F32_ROWS + 17, 4)],
+)
+def test_integer_product_equals_the_int64_product(lead, n, m):
+    rng = np.random.default_rng(n)
+    xq = rng.integers(0, INPUT_MAX + 1, size=lead + (n,), dtype=np.uint8)
+    wq = rng.integers(-WEIGHT_MAX, WEIGHT_MAX + 1, size=(n, m), dtype=np.int8)
+    acc = _integer_product(xq, wq)
+    assert (acc.dtype, acc.shape) == (np.float64, lead + (m,))
+    assert np.array_equal(acc, _int64_product(xq, wq))
+
+
+def _float64_product(xq, wq):
+    return xq.astype(np.float64) @ wq.astype(np.float64)
+
+
+@pytest.mark.parametrize("noise_lsb", [0.0, 2.0])
+def test_software_forward_bytes_equal_the_float64_product(monkeypatch, noise_lsb):
+    """The HAR layers' software forwards give the bytes of a float64 integer product."""
+    rng = np.random.default_rng(16)
+    conv, _, _, dense1, _, dense2 = har_model(np.random.default_rng(17)).layers
+    x = rng.standard_normal((64, 9, 128)).astype(np.float32)
+    h1 = np.maximum(rng.standard_normal((64, 256)), 0).astype(np.float32)
+    h2 = np.maximum(rng.standard_normal((64, 125)), 0).astype(np.float32)
+
+    def outputs():
+        def ctx():
+            return ForwardContext(noise_lsb=noise_lsb, rng=np.random.default_rng(18))
+
+        return [
+            conv.forward(x, ctx()),
+            matmul_forward(h1, dense1, ctx())[0],
+            matmul_forward(h2, dense2, ctx())[0],
+        ]
+
+    got = outputs()
+    monkeypatch.setattr("anamac.train._integer_product", _float64_product)
+    for y, ref in zip(got, outputs()):
+        assert len(np.unique(ref)) > 5  # neither all zero nor all on a rail
+        assert (y.dtype, y.shape) == (ref.dtype, ref.shape)
+        assert y.tobytes() == ref.tobytes()
+
+
+def test_software_conv_forward_peak_allocation():
+    """The HAR conv's software forward after a warm-up: 4.08 MiB with a float64 product."""
+    layer = har_model(np.random.default_rng(19)).layers[0]
+    x = np.random.default_rng(20).standard_normal((64, 9, 128)).astype(np.float32)
+    layer.forward(x, ForwardContext())
+    tracemalloc.start()
+    try:
+        layer.forward(x, ForwardContext())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 # -- layers -------------------------------------------------------------------
