@@ -118,6 +118,25 @@ def gather_input_vectors(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
     return np.array(windows, order="C").reshape(batch * spec.positions, spec.matrix_rows)
 
 
+def _read_samples(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
+    """A view of exactly the samples of ``x`` that some window reads; no copy.
+
+    Along an axis with stride <= k the windows cover the leading (P - 1) * s + k
+    samples; with stride > k they are runs of k samples between unread gaps.
+    The view holds the values of ``gather_input_vectors(spec, x)``, so any
+    order-free reduction (a max) gives the same result on both.
+    """
+    lead = x.ndim - spec.dims
+    for axis, (k, s, p) in enumerate(zip(spec.kernel, spec.stride, spec.out_extent), start=lead):
+        head = (slice(None),) * axis
+        if s <= k:
+            x = x[head + (slice(None, (p - 1) * s + k),)]
+        else:
+            # the window axis is appended last, so the spatial axes keep their places
+            x = np.lib.stride_tricks.sliding_window_view(x, k, axis=axis)[head + (slice(None, None, s),)]
+    return x
+
+
 @dataclass(frozen=True)
 class OutputDescriptor:
     """Maps flat matmul outputs back to (batch, C_out, *spatial)."""

@@ -213,37 +213,39 @@ class Conv1dLayer:
     def forward(self, x, ctx: ForwardContext):
         """``matmul_forward`` on the gathered input vectors, folded to (B, C_out, *P).
 
-        The scales are calibrated on the float vectors, which the backward
-        pass keeps, so samples that no window reads do not move them. Each
-        input sample is then quantized once, not once per window it falls in,
-        and the integer windows are gathered from the quantized signal: the
-        same operands as quantizing the vectors.
+        The input scale is calibrated on a view of exactly the samples that
+        some window reads: the values of the vectors, so the same scale, with
+        no copy, and samples that no window reads do not move it. Each input
+        sample is then quantized once, not once per window it falls in, and
+        the integer windows are gathered from the quantized signal: the same
+        operands as quantizing the vectors. The forward gathers no float
+        windows; the backward pass keeps the raw signal and gathers them.
         """
         x = np.asarray(x, dtype=np.float32)
-        vectors = lowering.gather_input_vectors(self.spec, x)
         w = self.weights
-        spec = quant_spec(vectors, w, _gain(ctx))
+        spec = quant_spec(lowering._read_samples(self.spec, x), w, _gain(ctx))
         xq = lowering.gather_input_vectors(self.spec, quantize_inputs(x, spec))
         y_flat = _forward_quantized(xq, quantize_weights(w, spec), spec, self, ctx)
         desc = lowering.OutputDescriptor(x.shape[0], self.spec.out_channels, self.spec.out_extent)
         y = desc.fold(y_flat)
         if self.truncate_positions is not None:
             y = y[..., : self.truncate_positions]
-        self._state = {"x": vectors, "batch": x.shape[0]}
+        self._state = {"x": x}
         return y
 
     def backward(self, grad_y):
         if self._state is None:
             raise MissingState("backward called without a saved forward state")
         spec = self.spec
-        batch = self._state["batch"]
+        x = self._state["x"]
+        batch = x.shape[0]
         positions = spec.positions
         grad_full = np.zeros((batch, spec.out_channels) + spec.out_extent, dtype=np.float32)
         grad_full[..., : grad_y.shape[-1]] = grad_y
         # (B, C_out, P) -> (B * P, C_out), matching gather_input_vectors order
         grad_flat = grad_full.reshape(batch, spec.out_channels, positions)
         grad_flat = np.ascontiguousarray(grad_flat.transpose(0, 2, 1)).reshape(-1, spec.out_channels)
-        grad_matrix = self._state["x"].T @ grad_flat
+        grad_matrix = lowering.gather_input_vectors(spec, x).T @ grad_flat
         self.grad_kernel = self._fold_matrix_grad(grad_matrix)
         return None  # first-layer use only; input gradient not propagated
 

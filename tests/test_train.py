@@ -7,7 +7,7 @@ import pytest
 from anamac.chip import ChipConfig
 from anamac.executor import SimulatedChips, global_resources, reset_resources
 from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
-from anamac.quant import INPUT_MAX, WEIGHT_MAX, quantize_inputs, round_half_away
+from anamac.quant import INPUT_MAX, WEIGHT_MAX, input_scale_for, quantize_inputs, round_half_away
 from anamac.train import (
     HAR_SIGNALS,
     _EXACT_F32_ROWS,
@@ -223,7 +223,10 @@ def test_software_forward_bytes_equal_the_float64_product(monkeypatch, noise_lsb
 
 
 def test_software_conv_forward_peak_allocation():
-    """The HAR conv's software forward after a warm-up: 4.08 MiB with a float64 product."""
+    """The HAR conv's software forward after a warm-up.
+
+    4.08 MiB with a float64 product, 2.93 MiB with the float window matrix.
+    """
     layer = har_model(np.random.default_rng(19)).layers[0]
     x = np.random.default_rng(20).standard_normal((64, 9, 128)).astype(np.float32)
     layer.forward(x, ForwardContext())
@@ -234,6 +237,7 @@ def test_software_conv_forward_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 2**20
+    assert peak < 2.25 * 2**20  # no float windows: 1.74 MiB
 
 
 # -- layers -------------------------------------------------------------------
@@ -275,7 +279,11 @@ def _conv_cases():
     gappy = conv1d_spec(3, 4, k=3, stride=5, extent=30)
     x_gap = rng.standard_normal((2, 3, 30)).astype(np.float32)
     x_gap[1, 2, 4] = 100.0  # the largest |x| sits in a skipped sample
-    return [(har, x_har, 16), (gappy, x_gap, None)]
+    # stride 3 <= k 4, but the windows end at sample 9: samples 10 and 11 fall in none
+    trailing = conv1d_spec(2, 3, k=4, stride=3, extent=12)
+    x_tail = rng.standard_normal((3, 2, 12)).astype(np.float32)
+    x_tail[2, 1, 11] = -50.0  # the largest |x| sits in an unread trailing sample
+    return [(har, x_har, 16), (gappy, x_gap, None), (trailing, x_tail, None)]
 
 
 @pytest.mark.parametrize("backend", ["software", "software-noisy", "chip"])
@@ -297,7 +305,55 @@ def test_conv1d_forward_equals_matmul_forward_on_the_gathered_vectors(backend):
         ref = OutputDescriptor(len(x), spec.out_channels, spec.out_extent).fold(y_flat)[..., :truncate]
         assert (y.dtype, y.shape) == (ref.dtype, ref.shape)
         assert y.tobytes() == ref.tobytes()
-        assert layer._state["x"].tobytes() == vectors.tobytes()  # the backward pass's operand
+        # the kernel gradient is the conventional matmul's on the float vectors
+        g = np.random.default_rng(10).standard_normal(y.shape).astype(np.float32)
+        layer.backward(g)
+        grad_full = np.zeros((len(x), spec.out_channels, spec.positions), np.float32)
+        grad_full[..., : g.shape[-1]] = g
+        grad_flat = np.ascontiguousarray(grad_full.transpose(0, 2, 1)).reshape(-1, spec.out_channels)
+        ref_grad = layer._fold_matrix_grad(vectors.T @ grad_flat)
+        assert (layer.grad_kernel.dtype, layer.grad_kernel.shape) == (ref_grad.dtype, ref_grad.shape)
+        assert layer.grad_kernel.tobytes() == ref_grad.tobytes()
+
+
+def test_conv1d_calibrates_on_a_view_of_the_samples_its_windows_read(monkeypatch):
+    """The forward's input scale is the vectors' scale, taken on a view of ``x`` itself."""
+    calls = []
+
+    def recording(a):
+        calls.append((a, input_scale_for(a)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("anamac.train.input_scale_for", recording)
+    for spec, x, truncate in _conv_cases():
+        calls.clear()
+        layer = Conv1dLayer(spec, np.random.default_rng(13), truncate_positions=truncate)
+        layer.forward(x, ForwardContext())
+        ((view, scale),) = calls
+        assert np.shares_memory(view, x)
+        assert scale == input_scale_for(gather_input_vectors(spec, x))
+        if spec.extent != (128,):  # the HAR conv reads every sample; the others skip the max
+            assert scale < input_scale_for(x)
+
+
+@pytest.mark.parametrize("backend", ["software", "chip"])
+def test_conv1d_forward_gathers_no_float_windows(monkeypatch, backend):
+    """The forward gathers the uint8 windows once; only the backward pass gathers floats."""
+    dtypes = []
+
+    def recording(spec, x):
+        vectors = gather_input_vectors(spec, x)
+        dtypes.append(vectors.dtype)
+        return vectors
+
+    monkeypatch.setattr("anamac.lowering.gather_input_vectors", recording)
+    spec = conv1d_spec(9, 16, k=32, stride=6, extent=128)
+    layer = Conv1dLayer(spec, np.random.default_rng(14), truncate_positions=16)
+    x = np.random.default_rng(15).standard_normal((4, 9, 128)).astype(np.float32)
+    y = layer.forward(x, ForwardContext(backend=backend, resources=SimulatedChips(1)))
+    assert dtypes == [np.uint8]
+    layer.backward(np.ones_like(y))
+    assert dtypes == [np.uint8, np.float32]
 
 
 def test_conv1d_quantizes_each_input_sample_once(monkeypatch):
