@@ -129,17 +129,44 @@ class InstanceCost:
     batch: int
     hw_params: HwParams
 
-    @property
-    def bytes_config(self) -> int:
-        return self.rows * self.cols
 
-    @property
-    def bytes_in(self) -> int:
-        return self.rows * self.batch
+# link encoding sizes in bytes, frozen with the link configs
+CONFIG_BYTES_PER_WEIGHT = 5
+INPUT_EVENT_BYTES = 6
+OUTPUT_EVENT_BYTES = 4
 
-    @property
-    def bytes_out(self) -> int:
-        return self.cols * self.batch
+
+@dataclass(frozen=True)
+class CostModel:
+    """The link's data volumes, the only byte count of a chip run."""
+
+    hw_version: str = "V2"
+
+    def config_rep(self, batch: int) -> int:
+        # V1 rewrites the synapse array for each sent input
+        return max(batch, 1) if self.hw_version == "V1" else 1
+
+    def bytes_config(self, rows: int, cols: int) -> int:
+        return CONFIG_BYTES_PER_WEIGHT * rows * cols
+
+    def bytes_in(self, rows: int, batch: int, num_sends: int) -> int:
+        return INPUT_EVENT_BYTES * rows * batch * num_sends
+
+    def bytes_out(self, cols: int, batch: int) -> int:
+        return OUTPUT_EVENT_BYTES * cols * batch
+
+    def stage_bytes(self, c: InstanceCost) -> tuple:
+        """(outbound, wire, response) bytes of one run: configuration plus
+        input events, all traffic over the link, output events."""
+        outbound = self.bytes_config(c.rows, c.cols) * self.config_rep(c.batch) + self.bytes_in(
+            c.rows, c.batch, c.hw_params.num_sends
+        )
+        response = self.bytes_out(c.cols, c.batch)
+        return outbound, outbound + response, response
+
+    def event_time(self, rows: int, batch: int, params: HwParams, link) -> float:
+        """On-chip event time over a ``perf.LinkBudget``'s clock."""
+        return batch * params.num_sends * rows * params.wait_between_events * link.clock_period_s
 
 
 class DefaultTiming:
@@ -149,10 +176,8 @@ class DefaultTiming:
     byte_time = 1e-9
 
     def durations(self, cost: InstanceCost):
-        pre = self.per_run_overhead + self.byte_time * (cost.bytes_config + cost.bytes_in)
-        exec_ = self.byte_time * (cost.bytes_config + cost.bytes_in + cost.bytes_out)
-        post = self.byte_time * cost.bytes_out
-        return pre, exec_, post
+        pre, wire, post = CostModel().stage_bytes(cost)
+        return self.per_run_overhead + self.byte_time * pre, self.byte_time * wire, self.byte_time * post
 
 
 @dataclass
@@ -169,9 +194,7 @@ class StageTimes:
 class TraceRow:
     instance: int
     times: StageTimes
-    bytes_config: int
-    bytes_in: int
-    bytes_out: int
+    bytes: tuple  # (pre, exec, post): CostModel.stage_bytes
 
 
 @dataclass
@@ -193,10 +216,10 @@ class RunTrace:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["instance", "stage", "t_start", "t_end", "bytes"])
         for r in sorted(self.rows, key=lambda r: r.instance):
-            t = r.times
-            writer.writerow([r.instance, "pre", repr(t.pre_start), repr(t.pre_end), r.bytes_config + r.bytes_in])
-            writer.writerow([r.instance, "exec", repr(t.exec_start), repr(t.exec_end), r.bytes_in + r.bytes_out])
-            writer.writerow([r.instance, "post", repr(t.post_start), repr(t.post_end), r.bytes_out])
+            t, (pre, exec_, post) = r.times, r.bytes
+            writer.writerow([r.instance, "pre", repr(t.pre_start), repr(t.pre_end), pre])
+            writer.writerow([r.instance, "exec", repr(t.exec_start), repr(t.exec_end), exec_])
+            writer.writerow([r.instance, "post", repr(t.post_start), repr(t.post_end), post])
         return buf.getvalue()
 
 
@@ -298,17 +321,13 @@ def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
     raise g.KindMismatch(f"unexpected digital vertex kind {v.kind}")
 
 
-def _finish(graph, values: dict, costs: dict, times: dict) -> tuple:
+def _finish(graph, values: dict, costs: dict, times: dict, model: CostModel) -> tuple:
     """Digital vertices, outputs and trace once every instance has stored."""
-    for vid in g.vertex_order(graph):
-        v = graph.vertices[vid]
-        if v.kind in g.DIGITAL_KINDS and vid not in values:
-            values[vid] = _digital_value(v, values)
+    for vid, v in graph.vertices.items():
+        if v.kind in g.DIGITAL_KINDS:  # every one, so an unused vertex's error surfaces too
+            _vertex_value(graph, vid, values)
     outputs = {vid: values[vid] for vid in graph.outputs()}
-    trace = RunTrace(
-        [TraceRow(iid, times[iid], c.bytes_config, c.bytes_in, c.bytes_out) for iid, c in costs.items()]
-    )
-    return outputs, trace
+    return outputs, RunTrace([TraceRow(iid, times[iid], model.stage_bytes(c)) for iid, c in costs.items()])
 
 
 class Executor:
@@ -329,18 +348,22 @@ class Executor:
             return self.timing
         from .perf import default_timing  # looked up per call: perf imports this module
 
-        return default_timing()
+        return default_timing(self.resources.config.hw_version)
 
     def run(self, graph: g.DependencyGraph, mode: str = "simulated_time", force_serial: bool = False):
         """Execute the graph; returns ({external_store id: ndarray}, RunTrace)."""
         problems = g.validate(graph)
         if problems:
             raise g.MalformedInstance("; ".join(problems))
+        if mode not in ("simulated_time", "measured_time"):
+            raise ValueError(f"unknown mode {mode!r}")
+        deps = graph.instance_dependencies()
+        order = g._toposort(deps)  # the one instance analysis of this run
         if mode == "simulated_time":
-            return self._run_simulated(graph, force_serial)
-        if mode == "measured_time":
-            return self._run_measured(graph)
-        raise ValueError(f"unknown mode {mode!r}")
+            values, costs, times = self._run_simulated(graph, deps, order, force_serial)
+        else:
+            values, costs, times = self._run_measured(graph, deps, order)
+        return _finish(graph, values, costs, times, CostModel(self.resources.config.hw_version))
 
     def _exec_instance(self, graph, inst, values, lock, clock):
         """Run one instance; ``lock`` guards ``values``, ``clock`` stamps the stages.
@@ -369,23 +392,20 @@ class Executor:
         cost = InstanceCost(rows, cols, x.shape[0], hw_params)
         return cost, (pre_s, exec_s, exec_e, clock())
 
-    def _run_simulated(self, graph, force_serial):
+    def _run_simulated(self, graph, deps, order, force_serial):
         """Sequential numerics in topological order, then a virtual-clock schedule."""
         values: dict = {}
         costs: dict = {}
         lock = threading.Lock()
-        for iid in g.topo_schedule(graph):
+        for iid in order:
             costs[iid], _ = self._exec_instance(graph, graph.instances[iid], values, lock, time.perf_counter)
         timing = self._timing()
         durations = {iid: timing.durations(c) for iid, c in costs.items()}
         resource_of = {iid: graph.instances[iid].array_binding for iid in costs}
-        deps = graph.instance_dependencies()
-        schedule = schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
-        return _finish(graph, values, costs, schedule)
+        return values, costs, schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
 
-    def _run_measured(self, graph):
+    def _run_measured(self, graph, deps, order):
         """Instances on a thread pool; the trace holds wall-clock stage times."""
-        deps = graph.instance_dependencies()
         done = {iid: threading.Event() for iid in graph.instances}
         values: dict = {}
         costs: dict = {}
@@ -414,10 +434,10 @@ class Executor:
         # dependency of a running instance has started: a capped pool cannot starve
         n_workers = self.workers or min(max(len(graph.instances), 1), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(worker, iid) for iid in g.topo_schedule(graph)]
+            futures = [pool.submit(worker, iid) for iid in order]
             for f in futures:
                 f.result()
-        return _finish(graph, values, costs, times)
+        return values, costs, times
 
 
 def run(graph, mode="simulated_time", resources=None, timing=None, workers=None, force_serial=False):

@@ -7,9 +7,10 @@ cycles, repeated num_sends times). The first chip version (V1) must rewrite
 the synapse array for every sent input, which multiplies the configuration
 traffic by the batch size.
 
-Per-event encoding sizes and the calibration constants (per-run overhead,
-protocol efficiency, clock period) are not hardware truth; they were fitted
-once against published throughput anchors and frozen into link_1g.cfg /
+Per-event encoding sizes (``CostModel``, which counts every byte of a run)
+and the calibration constants (per-run overhead, protocol efficiency, clock
+period) are not hardware truth; they were fitted once against published
+throughput anchors and frozen into the encoding constants and link_1g.cfg /
 link_8g.cfg. Tests use the frozen files and never refit.
 """
 
@@ -21,7 +22,7 @@ import io
 from dataclasses import dataclass
 
 from .chip import HwParams, _read_kv
-from .executor import InstanceCost, schedule_pipeline
+from .executor import CostModel, InstanceCost, schedule_pipeline  # CostModel re-exported
 from .partition import TileSpec, partition_matmul
 
 
@@ -39,31 +40,8 @@ class LinkBudget:
         if not (0 < self.protocol_efficiency <= 1):
             raise ValueError("protocol efficiency must be in (0, 1]")
 
-
-@dataclass(frozen=True)
-class CostModel:
-    """Data-volume formulas; the postprocessing of response data is content-agnostic."""
-
-    config_bytes_per_weight: int = 5
-    input_event_bytes: int = 6
-    output_event_bytes: int = 4
-    hw_version: str = "V2"
-
-    def config_rep(self, batch: int) -> int:
-        # V1 rewrites the synapse array for each sent input
-        return max(batch, 1) if self.hw_version == "V1" else 1
-
-    def bytes_config(self, rows: int, cols: int) -> int:
-        return self.config_bytes_per_weight * rows * cols
-
-    def bytes_in(self, rows: int, batch: int, num_sends: int) -> int:
-        return self.input_event_bytes * rows * batch * num_sends
-
-    def bytes_out(self, cols: int, batch: int) -> int:
-        return self.output_event_bytes * cols * batch
-
-    def event_time(self, rows: int, batch: int, params: HwParams, link: LinkBudget) -> float:
-        return batch * params.num_sends * rows * params.wait_between_events * link.clock_period_s
+    def seconds_on_wire(self, n_bytes: int) -> float:
+        return n_bytes * 8.0 / (self.bandwidth_bps * self.protocol_efficiency)
 
 
 def load_link_config(name_or_path) -> LinkBudget:
@@ -79,12 +57,8 @@ def load_link_config(name_or_path) -> LinkBudget:
 
 
 def wire_time(rows, cols, batch, params: HwParams, link: LinkBudget, cost: CostModel) -> float:
-    total_bytes = (
-        cost.bytes_config(rows, cols) * cost.config_rep(batch)
-        + cost.bytes_in(rows, batch, params.num_sends)
-        + cost.bytes_out(cols, batch)
-    )
-    return total_bytes * 8.0 / (link.bandwidth_bps * link.protocol_efficiency)
+    _, wire_bytes, _ = cost.stage_bytes(InstanceCost(rows, cols, batch, params))
+    return link.seconds_on_wire(wire_bytes)
 
 
 def time_per_run(tile, batch: int, params: HwParams, link: LinkBudget, cost: CostModel) -> float:
@@ -108,24 +82,17 @@ class CostTiming:
         self.cost = cost or CostModel()
 
     def durations(self, c: InstanceCost) -> tuple:
-        rep = self.cost.config_rep(c.batch)
-        out_bytes = self.cost.bytes_out(c.cols, c.batch)
-        pre = self.link.per_run_overhead_s + self.link.host_byte_time_s * (
-            self.cost.bytes_config(c.rows, c.cols) * rep
-            + self.cost.bytes_in(c.rows, c.batch, c.hw_params.num_sends)
-        )
-        exec_ = max(
-            wire_time(c.rows, c.cols, c.batch, c.hw_params, self.link, self.cost),
-            self.cost.event_time(c.rows, c.batch, c.hw_params, self.link),
-        )
-        post = self.link.host_byte_time_s * out_bytes
-        return pre, exec_, post
+        outbound, wire_bytes, response = self.cost.stage_bytes(c)
+        link = self.link
+        pre = link.per_run_overhead_s + link.host_byte_time_s * outbound
+        exec_ = max(link.seconds_on_wire(wire_bytes), self.cost.event_time(c.rows, c.batch, c.hw_params, link))
+        return pre, exec_, link.host_byte_time_s * response
 
 
 @functools.cache
-def default_timing() -> CostTiming:
-    """The frozen link_8g model, read and parsed once per process."""
-    return CostTiming(load_link_config("link_8g"))
+def default_timing(hw_version: str) -> CostTiming:
+    """The frozen link_8g model for a chip version, read and parsed once per process and version."""
+    return CostTiming(load_link_config("link_8g"), CostModel(hw_version))
 
 
 # scenario -> (link config, hardware version, hardware hyperparameters);

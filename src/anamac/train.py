@@ -69,7 +69,7 @@ class ForwardContext:
     backend: str = "software"  # software | chip
     resources: SimulatedChips | None = None  # None: the chip backend uses global_resources()
     noise_lsb: float = 0.0  # software-model Gaussian output noise, output LSB
-    rng: np.random.Generator | None = None
+    rng: np.random.Generator | None = None  # required when noise_lsb > 0
     seed_salt: int = 0  # decorrelates chip temporal noise across steps
 
 
@@ -123,8 +123,9 @@ def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
         raise ValueError(f"unknown backend {ctx.backend!r}")
     analog = _gain(ctx) * _integer_product(xq, wq)
     if ctx.noise_lsb > 0:
-        rng = ctx.rng or np.random.default_rng()
-        analog = analog + rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
+        if ctx.rng is None:
+            raise ValueError("software noise (noise_lsb > 0) needs a seeded ForwardContext.rng")
+        analog = analog + ctx.rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
     y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
     return dequantize_outputs(y8, spec)
 

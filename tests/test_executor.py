@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anamac import chip, executor, graph as g, perf
-from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, InputOutOfRange, WeightOutOfRange
+from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, HwParams, InputOutOfRange, WeightOutOfRange
 from anamac.executor import (
     Executor,
     InstanceCost,
@@ -364,7 +364,7 @@ def test_measured_pool_defaults_to_cpu_count(monkeypatch):
 
 
 def test_failing_default_timing_surfaces(monkeypatch):
-    def broken():
+    def broken(hw_version):
         raise OSError("link config unreadable")
 
     monkeypatch.setattr(perf, "default_timing", broken)
@@ -413,9 +413,75 @@ def test_trace_csv_format():
 
 
 def test_instance_cost_byte_accounting():
-    from anamac.chip import HwParams
+    """5 B per weight (V1: once per sent input), 6 B per input event and send, 4 B per output."""
+    c = InstanceCost(rows=100, cols=50, batch=4, hw_params=HwParams(num_sends=6))
+    # V2: 5*100*50 + 6*100*4*6 = 25,000 + 14,400 out; 4*50*4 = 800 back
+    assert executor.CostModel("V2").stage_bytes(c) == (39_400, 40_200, 800)
+    # V1 rewrites the array for each of the 4 inputs: 4 * 25,000 + 14,400
+    assert executor.CostModel("V1").stage_bytes(c) == (114_400, 115_200, 800)
+    assert perf.CostModel is executor.CostModel
 
-    c = InstanceCost(rows=100, cols=50, batch=4, hw_params=HwParams())
-    assert c.bytes_config == 5000
-    assert c.bytes_in == 400
-    assert c.bytes_out == 200
+
+@pytest.mark.parametrize("hw_version", ["V1", "V2"])
+def test_trace_bytes_are_the_bytes_the_timing_charged(hw_version):
+    res = SimulatedChips(1, ChipConfig(hw_version=hw_version, sigma_temporal=0.0))
+    graph, _, _ = _simple_graph(np.random.default_rng(7), batch=3)
+    _, trace = Executor(res).run(graph)
+    link = perf.default_timing(hw_version).link
+    byte_s = 8.0 / (link.bandwidth_bps * link.protocol_efficiency)
+    for row in trace.rows:
+        t, (pre, wire, post) = row.times, row.bytes
+        inst = graph.instances[row.instance]
+        block = graph.vertices[inst.vertex_ids[1]].payload["weights"]
+        rows, cols = 2 * block.shape[0], block.shape[1]  # signed rows take a physical pair
+        outbound = 5 * rows * cols * (3 if hw_version == "V1" else 1) + 6 * rows * 3 * 6
+        assert (pre, wire, post) == (outbound, outbound + 4 * cols * 3, 4 * cols * 3)
+        assert t.pre_end - t.pre_start == pytest.approx(link.per_run_overhead_s + link.host_byte_time_s * pre)
+        event = executor.CostModel().event_time(rows, 3, HwParams(), link)
+        assert t.exec_end - t.exec_start == pytest.approx(max(wire * byte_s, event))
+        assert t.post_end - t.post_start == pytest.approx(link.host_byte_time_s * post)
+    measured = Executor(res).run(graph, mode="measured_time")[1]
+    assert sorted((r.instance, r.bytes) for r in measured.rows) == sorted((r.instance, r.bytes) for r in trace.rows)
+
+
+def test_hw_version_of_the_pool_sets_the_timing():
+    """A V1 chip rewrites its array per sent input; the V2 timing is the link_8g model as before."""
+    graph, _, _ = _simple_graph(np.random.default_rng(7), batch=3)
+    v1 = Executor(SimulatedChips(1, ChipConfig(hw_version="V1"))).run(graph)[1]
+    v2 = Executor(SimulatedChips(1, ChipConfig(hw_version="V2"))).run(graph)[1]
+    assert v1.makespan > v2.makespan
+    link_8g = perf.CostTiming(perf.load_link_config("link_8g"))
+    explicit = Executor(SimulatedChips(1, ChipConfig()), timing=link_8g).run(graph)[1]
+    assert v2.to_csv() == explicit.to_csv()
+
+
+def test_one_run_analyses_the_instance_graph_once(monkeypatch):
+    calls = []
+    real = g.DependencyGraph.instance_dependencies
+
+    def counted(graph):
+        calls.append(1)
+        return real(graph)
+
+    def forbidden(graph):
+        raise AssertionError("the run re-analysed its graph")
+
+    monkeypatch.setattr(g.DependencyGraph, "instance_dependencies", counted)
+    monkeypatch.setattr(g, "topo_schedule", forbidden)
+    monkeypatch.setattr(g, "vertex_order", forbidden)
+    graph, _, _ = _simple_graph(np.random.default_rng(7))
+    ex = Executor(SimulatedChips(1, NOISELESS))
+    for mode in ("simulated_time", "measured_time"):
+        calls.clear()
+        ex.run(graph, mode=mode)
+        assert calls == [1], mode
+
+
+def test_an_unused_digital_vertex_still_raises():
+    b = g.GraphBuilder()
+    s1 = _chain(b, np.ones((2, 2), np.int8), data=np.ones((1, 2), np.uint8), iid=0)
+    s2 = _chain(b, np.ones((2, 3), np.int8), data=np.ones((1, 2), np.uint8), iid=1)
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(s1,))
+    b.add_vertex(g.VertexKind.ADD, inputs=(s1, s2))  # 2 + 3 columns: no consumer, cannot broadcast
+    with pytest.raises(ValueError, match="broadcast"):
+        Executor(SimulatedChips(1, NOISELESS)).run(b.build())

@@ -137,6 +137,13 @@ def test_software_noise_injection_perturbs_outputs():
     assert not np.array_equal(clean, noisy)
 
 
+def test_software_noise_without_a_generator_raises():
+    """Unseeded noise would make the run irreproducible, so no generator is made up."""
+    w = np.ones((8, 4), np.float32)
+    with pytest.raises(ValueError, match="rng"):
+        matmul_forward(np.ones((2, 8), np.float32), _Bare(w), ForwardContext(noise_lsb=1.0))
+
+
 def test_software_noise_is_added_before_the_one_digitisation():
     """y8 = clip(round_half_away(gain * acc + rng.normal(0, noise_lsb)), -128, 127)."""
     rng = np.random.default_rng(8)
