@@ -8,8 +8,12 @@ neurons. The analog path is modeled as an exact integer product distorted by
   * additive temporal noise per run, scaled down by sqrt(num_sends).
 
 Signed weights occupy excitatory/inhibitory row pairs; the array maps a signed
-block onto its pairs itself. With all sigmas at zero and unit gain the model
-collapses to the exact saturating integer matmul, which the oracle tests rely on.
+block onto its pairs itself. The analog chain runs in float32: its noise is at
+least 0.8 LSB and its output an 8-bit code, so float64 would show nowhere. With
+all sigmas at zero the model still collapses to the exact saturating integer
+matmul, which the oracle tests rely on: every partial sum of a block is an
+integer of at most 256 * 31 * 63 < 2**24, so the float32 product is exact, and
+a power-of-two gain scales it exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ COLS = 256
 SIGNED_ROWS = ROWS // 2  # signed weights occupy excitatory/inhibitory row pairs
 ARRAYS_PER_CHIP = 2
 OWNERSHIP_LOG_LEN = 256  # even: entries come in acquire/release pairs
+_F32_NORMAL = (float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max))
 
 
 class WeightOutOfRange(ValueError):
@@ -65,8 +70,10 @@ class ChipConfig:
     hw_version: str = "V2"
 
     def __post_init__(self):
-        if min(self.sigma_fixed, self.sigma_offset, self.sigma_temporal) < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not all(0 <= s < math.inf for s in (self.sigma_fixed, self.sigma_offset, self.sigma_temporal)):
+            raise ValueError("noise sigmas must be finite and >= 0")
+        if not _F32_NORMAL[0] <= self.gain <= _F32_NORMAL[1]:  # also false for NaN
+            raise ValueError(f"gain must be a positive normal float32, got {self.gain}")
         if self.hw_version not in ("V1", "V2"):
             raise ValueError("hw_version must be V1 or V2")
 
@@ -132,10 +139,10 @@ class SynapseArray:
         offs_rng = np.random.default_rng([config.chip_seed, array_index, 1])
         self.fixed_gain = (
             1.0 + config.sigma_fixed * gain_rng.standard_normal((ROWS, COLS))
-        ).astype(np.float64)
+        ).astype(np.float32)
         self.neuron_offset = (
             config.sigma_offset * offs_rng.standard_normal(COLS)
-        ).astype(np.float64)
+        ).astype(np.float32)
         self.lock = threading.Lock()
         # the latest (event, holder) entries, for tests; bounded for long runs
         self.ownership_log: deque = deque(maxlen=OWNERSHIP_LOG_LEN)
@@ -177,6 +184,10 @@ class SynapseArray:
         the pair's MAC with the input sent to both rows (one term is 0). Only
         the configured columns are digitised and draw temporal noise; the
         result keeps the full 256-column width with 0 in the other columns.
+
+        Every step runs in float32. Noise-free, W_eff holds the integer
+        weights and each partial sum stays below 2**24, so the product is
+        exact and a power-of-two ``g`` (the default 1/64) keeps it exact.
         """
         x = np.asarray(x)
         single = x.ndim == 1
@@ -187,9 +198,9 @@ class SynapseArray:
             raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
 
         rows, cols = self.rows, self.cols
-        w = self.weights[:rows, :cols].astype(np.float64)
+        w = self.weights[:rows, :cols].astype(np.float32)
         gain = self.fixed_gain[:, :cols]
-        if self.signed:  # in place on float64: the fewest temporaries and no int8 casts
+        if self.signed:  # in place on float32: the fewest temporaries and no int8 casts
             effective = np.maximum(w, 0.0)
             effective *= gain[0 : 2 * rows : 2]
             np.minimum(w, 0.0, out=w)
@@ -197,10 +208,10 @@ class SynapseArray:
             effective += w
         else:
             effective = w * gain[:rows]
-        acc = x2.astype(np.float64) @ effective
+        acc = x2.astype(np.float32) @ effective
         sigma = self.config.sigma_temporal / math.sqrt(params.num_sends)
-        noise = sigma * rng.standard_normal(acc.shape) if sigma > 0 else 0.0
-        analog = self.config.gain * acc + self.neuron_offset[:cols] + noise
+        noise = np.float32(sigma) * rng.standard_normal(acc.shape, dtype=np.float32) if sigma > 0 else 0.0
+        analog = np.float32(self.config.gain) * acc + self.neuron_offset[:cols] + noise
         out = np.zeros((x2.shape[0], COLS), dtype=np.int8)
         out[:, :cols] = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
         return out[0] if single else out

@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anamac.chip import (
@@ -43,6 +46,79 @@ def test_noiseless_mac_is_exact_integer_matmul():
         ref = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127)
         assert y.dtype == np.int8
         assert np.array_equal(y, ref), f"signed={signed}"
+
+
+def _round_shift_oracle(acc, k):
+    """clamp(round_half_away(acc * 2**-k)) in int64 arithmetic."""
+    return np.clip(np.sign(acc) * ((np.abs(acc) + (1 << k >> 1)) >> k), -128, 127)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    signed=st.booleans(),
+    full_scale=st.booleans(),
+    rows=st.integers(1, ROWS),
+    cols=st.integers(1, 32),
+    wmax=st.sampled_from([1, 3, 63]),
+    xmax=st.sampled_from([1, 31]),
+    k=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+@example(signed=False, full_scale=True, rows=ROWS, cols=COLS, wmax=63, xmax=31, k=12, seed=0)
+@example(signed=True, full_scale=True, rows=SIGNED_ROWS, cols=COLS, wmax=63, xmax=31, k=12, seed=0)
+def test_noise_free_mac_equals_the_int64_rounding_oracle(signed, full_scale, rows, cols, wmax, xmax, k, seed):
+    """Noise-free with gain 2**-k, the float32 chain is exact: every partial sum is < 2**24.
+
+    A full-scale block holds only +-63 weights (the sign drawn per weight) and
+    meets inputs that are all 31; unsigned, each column sums to 256 * 31 * 63
+    = 499,968, which 2**-12 scales to 122.06.
+    """
+    rng = np.random.default_rng(seed)
+    rows = min(rows, SIGNED_ROWS) if signed else rows
+    if full_scale:
+        w = np.full((rows, cols), 63, dtype=np.int8)
+        if signed:
+            w[rng.random((rows, cols)) < 0.5] = -63
+        x = np.full((3, rows), 31, dtype=np.uint8)
+    else:
+        w = rng.integers(-wmax if signed else 0, wmax + 1, size=(rows, cols)).astype(np.int8)
+        x = rng.integers(0, xmax + 1, size=(3, rows)).astype(np.uint8)
+    cfg = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=2.0**-k)
+    array = SynapseArray(cfg, 0)
+    array.configure(w, signed=signed)
+    y = array.mac(x, HwParams(), np.random.default_rng(0))
+    want = _round_shift_oracle(x.astype(np.int64) @ w.astype(np.int64), k)
+    assert np.array_equal(y[:, :cols], want)
+    assert not y[:, cols:].any()
+
+
+def test_analog_state_is_float32_from_the_float64_draws():
+    cfg = ChipConfig(chip_seed=17)
+    array = SynapseArray(cfg, 3)
+    assert array.fixed_gain.dtype == np.float32 and array.neuron_offset.dtype == np.float32
+    gain64 = 1.0 + cfg.sigma_fixed * np.random.default_rng([17, 3, 0]).standard_normal((ROWS, COLS))
+    offset64 = cfg.sigma_offset * np.random.default_rng([17, 3, 1]).standard_normal(COLS)
+    assert np.array_equal(array.fixed_gain, gain64.astype(np.float32))
+    assert np.array_equal(array.neuron_offset, offset64.astype(np.float32))
+
+
+def test_signed_mac_peak_allocation():
+    """One noisy (256, 128) x (128, 256) signed MAC after a warm-up.
+
+    1.38 MiB in float32; the float64 chain allocated 2.63 MiB.
+    """
+    rng = np.random.default_rng(21)
+    array = SynapseArray(ChipConfig(chip_seed=3), 0)
+    array.configure(rng.integers(-63, 64, size=(SIGNED_ROWS, COLS)).astype(np.int8), signed=True)
+    x = rng.integers(0, 32, size=(256, SIGNED_ROWS)).astype(np.uint8)
+    array.mac(x, HwParams(), np.random.default_rng(22))
+    tracemalloc.start()
+    try:
+        array.mac(x, HwParams(), np.random.default_rng(22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
 
 
 def test_output_saturates_at_i8():
@@ -148,18 +224,21 @@ def _written_out_mac(array, x, params, rng):
     of an unsigned block is physical row r; a signed weight sits on row 2r if
     it is positive and on row 2r+1 if it is negative, with the input sent to
     both rows of the pair. Temporal noise is drawn for the configured columns.
+    Every step is float32.
     """
     cfg = array.config
     rows, cols = array.rows, array.cols
-    w = array.weights[:rows, :cols].astype(np.float64)
+    w = array.weights[:rows, :cols].astype(np.float32)
     if array.signed:
         physical = 2 * np.arange(rows)[:, None] + (w < 0)
     else:
         physical = np.broadcast_to(np.arange(rows)[:, None], w.shape)
     effective = w * array.fixed_gain[physical, np.arange(cols)]
-    acc = x.astype(np.float64) @ effective
-    noise = cfg.sigma_temporal / np.sqrt(params.num_sends) * rng.standard_normal((x.shape[0], cols))
-    v = cfg.gain * acc + array.neuron_offset[:cols] + noise
+    acc = x.astype(np.float32) @ effective
+    sigma = np.float32(cfg.sigma_temporal / np.sqrt(params.num_sends))
+    noise = sigma * rng.standard_normal((x.shape[0], cols), dtype=np.float32)
+    v = np.float32(cfg.gain) * acc + array.neuron_offset[:cols] + noise
+    assert v.dtype == np.float32
     return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -128, 127).astype(np.int8)
 
 
@@ -293,6 +372,28 @@ def test_hw_params_validation():
         HwParams(num_sends=0)
     with pytest.raises(ValueError):
         HwParams(wait_between_events=0)
+
+
+@pytest.mark.parametrize("field", ["sigma_fixed", "sigma_offset", "sigma_temporal"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_chip_config_rejects_a_bad_sigma(field, value):
+    with pytest.raises(ValueError, match="sigmas must be finite and >= 0"):
+        ChipConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "gain",
+    [math.nan, math.inf, -math.inf, 0.0, -1 / 64, 1e-39, 1e39],
+    ids=["nan", "inf", "-inf", "zero", "negative", "float32-subnormal", "float32-overflow"],
+)
+def test_chip_config_rejects_a_gain_that_is_not_a_positive_normal_float32(gain):
+    with pytest.raises(ValueError, match="gain must be a positive normal float32"):
+        ChipConfig(gain=gain)
+
+
+def test_chip_config_accepts_the_float32_gain_range():
+    for gain in (float(np.finfo(np.float32).tiny), 2.0**-12, 1.0, float(np.finfo(np.float32).max)):
+        assert ChipConfig(gain=gain).gain == gain
 
 
 def test_load_chip_config_packaged_and_file(tmp_path):
