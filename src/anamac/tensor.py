@@ -38,7 +38,7 @@ class UnsupportedVersion(ValueError):
 
 
 class TruncatedPayload(ValueError):
-    pass
+    """The payload is shorter or longer than the header's shape and dtype say."""
 
 
 def _dtype_name(np_dtype) -> str:
@@ -150,9 +150,9 @@ def read_tensor(path) -> Tensor:
     count = int(np.prod(dims, dtype=np.int64)) if dims else 1
     expected = count * np_dtype.itemsize
     payload = raw[offset:]
-    if len(payload) < expected:
+    if len(payload) != expected:
         raise TruncatedPayload(f"payload holds {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload[:expected], dtype=np_dtype).reshape(dims)
+    arr = np.frombuffer(payload, dtype=np_dtype).reshape(dims)
     return Tensor(arr)
 
 

@@ -57,7 +57,7 @@ def _har_logits(**ctx_kwargs):
 
 
 def test_har_steps_bitstream():
-    assert _har_logits(backend="chip", resources=SimulatedChips(1)) == "289f575a65eda831", BLAS_NOTE
-    assert _har_logits(backend="software") == "6ebe3fb3d3f2d594", BLAS_NOTE
+    assert _har_logits(backend="chip", resources=SimulatedChips(1)) == "507a0a67423f3ee0", BLAS_NOTE
+    assert _har_logits(backend="software") == "d11d015cff01fa0f", BLAS_NOTE
     noisy = _har_logits(backend="software", noise_lsb=2, rng=np.random.default_rng(9))
-    assert noisy == "a1bad51c4cd4b28a", BLAS_NOTE
+    assert noisy == "4c944584f065625f", BLAS_NOTE

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,7 +65,9 @@ _FIXED_FORMATS = [  # inputs, signed and unsigned weights, ADC outputs
     (0, WEIGHT_MAX, np.int8),
     (OUTPUT_MIN, OUTPUT_MAX, np.int8),
 ]
-_FIXED_EDGES = [0.5, 1.5, 2.5, 31.5, 63.5, 127.5, 128.5, 0.0, 0.49999999999999994, np.inf]
+_FIXED_EDGES = [
+    0.5, 1.5, 2.5, 31.5, 63.5, 127.5, 128.5, 0.0, 0.49999999999999994, 0.4999999701976776, np.inf,
+]
 
 
 # None keeps the drawn values as they are; the lengths straddle the block edges
@@ -119,7 +123,9 @@ def test_to_fixed_chain_edges(fmt, arg_dtype):
 
 
 def _reference_quantize(a, scale, lo, hi, dtype):
-    return np.clip(round_half_away(np.divide(a, scale, dtype=np.float64)), lo, hi).astype(dtype)
+    """Divide in the operand's float type (float64 for float64 and integer operands), round, clip, cast."""
+    quotient = np.divide(a, scale, dtype=np.result_type(a, 0.5))
+    return np.clip(round_half_away(quotient), lo, hi).astype(dtype)
 
 
 _rng = np.random.default_rng(7)
@@ -133,7 +139,7 @@ _QUANTIZER_INPUTS = {
 
 
 @pytest.mark.parametrize("name", list(_QUANTIZER_INPUTS))
-def test_quantizers_equal_the_float64_reference(name):
+def test_quantizers_equal_the_reference_in_the_operands_type(name):
     a = _QUANTIZER_INPUTS[name]
     scale = 1e-300 if name == "quotient-overflow" else 0.37
     with np.errstate(over="ignore"):
@@ -157,11 +163,26 @@ def test_quantizers_equal_the_float64_reference(name):
 
 
 @pytest.mark.parametrize("arg_dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("scale", [0.25, 1e-300])  # exact quotients, so ties stay ties; quotient overflow
+@pytest.mark.parametrize(
+    "scale",
+    # 0.25 and 2**-120 give exact quotients, so ties stay ties; float32 cannot hold 1e-300 or 1e39
+    [0.25, pytest.param(2.0**-120, id="2**-120"), 1e-300, 1e39],
+)
 def test_quantizers_at_the_chain_edges(arg_dtype, scale):
+    """The largest finite operand is appended: its quotient overflows and clips to the rail."""
     with np.errstate(over="ignore", under="ignore"):
         a = (_CHAIN_EDGES * scale).astype(arg_dtype)
         a = a[np.isfinite(a)]  # +-1e300 overflow a float32 argument
+        big = np.finfo(arg_dtype).max
+        a = np.concatenate([a, [big, -big]]).astype(arg_dtype)
+        if not 0 < arg_dtype(scale) < np.inf:
+            spec = QuantSpec(input_scale=scale, weight_scale=scale)
+            message = f"^scale {re.escape(repr(scale))} rounds to (0.0|inf) in float32$"
+            with pytest.raises(ValueError, match=message):
+                quantize_inputs(a, spec)
+            with pytest.raises(ValueError, match=message):
+                quantize_weights(a, spec)
+            return
         for signed in (True, False):
             spec = QuantSpec(input_scale=scale, weight_scale=scale, signed_weights=signed)
             lo = -WEIGHT_MAX if signed else 0
@@ -169,6 +190,43 @@ def test_quantizers_at_the_chain_edges(arg_dtype, scale):
             expected_w = _reference_quantize(a, scale, lo, WEIGHT_MAX, np.int8)
             assert quantize_inputs(a, spec).tobytes() == expected_x.tobytes()
             assert quantize_weights(a, spec).tobytes() == expected_w.tobytes()
+
+
+def _codes_digest(conversion, arg_dtype) -> str:
+    """SHA-256 prefix of the codes of the edge lists and a seeded draw, in every format."""
+    v = np.concatenate([
+        _CHAIN_EDGES, _FIXED_EDGES, np.negative(_FIXED_EDGES),
+        np.random.default_rng(11).standard_normal(3000) * 40,
+    ])
+    h = hashlib.sha256()
+    with np.errstate(over="ignore"):
+        if conversion == "to_fixed":
+            a = _argument(v, None, arg_dtype)
+            for lo, hi, dtype in _FIXED_FORMATS:
+                h.update(to_fixed(a, lo, hi, dtype).tobytes())
+            return h.hexdigest()[:16]
+        v = v[np.isfinite(v)]
+        for scale, operand in ((0.25, v * 0.25), (0.37, v * 0.37), (1e-300, v)):
+            a = _argument(operand, None, arg_dtype)
+            for signed in (True, False):
+                spec = QuantSpec(input_scale=scale, weight_scale=scale, signed_weights=signed)
+                h.update(quantize_inputs(a, spec).tobytes())
+                h.update(quantize_weights(a, spec).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "conversion, arg_dtype, golden",
+    [
+        ("to_fixed", np.float32, "729c663be1c7e289"),
+        ("to_fixed", np.float64, "90f980b3afbf2441"),
+        ("quantizers", np.float64, "a7e5bee4b9f0ddbc"),
+        ("quantizers", np.int8, "75ac7d07e5b9f0d5"),
+    ],
+)
+def test_conversions_outside_float32_division_keep_their_bytes(conversion, arg_dtype, golden):
+    """Every conversion that divides no float32 operand keeps these golden bytes."""
+    assert _codes_digest(conversion, arg_dtype) == golden
 
 
 def _traced_peak_bytes(fn, *args) -> int:
@@ -181,10 +239,14 @@ def _traced_peak_bytes(fn, *args) -> int:
 
 
 def test_quantization_builds_no_full_size_temporary():
-    """1024x1024 float32 weights: a full-size float64 copy alone would be 8 MB."""
+    """1024x1024 float32 weights: a full-size float64 copy alone would be 8 MB.
+
+    Next to the 1 MiB int8 result, the float32 work buffer and the bool mask
+    take 5 bytes per block element; float64 buffers would take 9 and fail.
+    """
     w = np.random.default_rng(3).standard_normal((1024, 1024)).astype(np.float32)
     spec = QuantSpec(weight_scale=weight_scale_for(w))
-    assert _traced_peak_bytes(quantize_weights, w, spec) < 4 * 2**20  # the int8 result is 1 MB
+    assert _traced_peak_bytes(quantize_weights, w, spec) < 2**20 + 7 * _BLOCK
     assert _traced_peak_bytes(weight_scale_for, w) < 2**20
 
 

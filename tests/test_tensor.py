@@ -105,6 +105,16 @@ def test_truncated_payload(tmp_path):
         read_tensor(path)
 
 
+def test_trailing_payload_bytes(tmp_path):
+    """A longer file, such as two tensors written back to back, is not read as its first tensor."""
+    t = tensor(np.arange(100), dtype="i32")
+    path = tmp_path / "t.tns"
+    write_tensor(t, path)
+    path.write_bytes(path.read_bytes() * 2)
+    with pytest.raises(TruncatedPayload, match="^payload holds 812 bytes, expected 400$"):
+        read_tensor(path)
+
+
 def test_rank_limit():
     with pytest.raises(ShapeMismatch):
         Tensor(np.zeros((1,) * 9, dtype=np.float32))
