@@ -26,8 +26,6 @@ from .executor import (
     configure_resources,
     global_resources,
     reset_resources,
-    run,
-    schedule_pipeline,
 )
 from .graph import DependencyGraph, GraphBuilder, VertexKind, topo_schedule, validate
 from .lowering import (
@@ -45,8 +43,7 @@ from .perf import (
     load_link_config,
     mac_rate,
     mac_rate_curve,
-    time_per_run,
-    wire_time,
+    schedule_pipeline,
 )
 from .quant import (
     QuantSpec,

@@ -8,10 +8,14 @@ without mutual dependencies may overlap; numerics are independent of the
 schedule because each instance owns an RNG stream keyed by (chip_seed,
 instance id).
 
-``simulated_time`` mode advances a virtual clock from per-stage cost
-durations; ``measured_time`` runs the stages on a thread pool (by default
-min(instances, os.cpu_count()) threads) and records wall-clock times.
-Outputs are bit-identical between modes and worker counts.
+``simulated_time`` mode runs the instances in topological order and times
+them with ``perf``'s link model: ``perf.default_timing`` of the pool's
+hardware version gives each instance's stage durations, and
+``perf.schedule_pipeline`` lays them out on a virtual clock, executions
+serialized per synapse array. ``measured_time`` runs the stages on a thread
+pool (by default min(instances, os.cpu_count()) threads) and records
+wall-clock times. Outputs are bit-identical between modes and worker counts;
+in both, a trace row's bytes are ``perf.CostModel``'s.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graph as g
+from . import graph as g, perf
 from .chip import ARRAYS_PER_CHIP, Chip, ChipConfig, HwParams
 from .quant import INPUT_MAX
 
@@ -120,81 +124,11 @@ def instance_rng(config: ChipConfig, instance_id: int, salt: int = 0) -> np.rand
     return np.random.default_rng([config.chip_seed, 7, salt, instance_id])
 
 
-@dataclass(frozen=True)
-class InstanceCost:
-    """Stage-duration inputs for one instance; bytes use the physical extents."""
-
-    rows: int  # active physical rows (pairs counted twice for signed)
-    cols: int  # active columns
-    batch: int
-    hw_params: HwParams
-
-
-# link encoding sizes in bytes, frozen with the link configs
-CONFIG_BYTES_PER_WEIGHT = 5
-INPUT_EVENT_BYTES = 6
-OUTPUT_EVENT_BYTES = 4
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """The link's data volumes, the only byte count of a chip run."""
-
-    hw_version: str = "V2"
-
-    def config_rep(self, batch: int) -> int:
-        # V1 rewrites the synapse array for each sent input
-        return max(batch, 1) if self.hw_version == "V1" else 1
-
-    def bytes_config(self, rows: int, cols: int) -> int:
-        return CONFIG_BYTES_PER_WEIGHT * rows * cols
-
-    def bytes_in(self, rows: int, batch: int, num_sends: int) -> int:
-        return INPUT_EVENT_BYTES * rows * batch * num_sends
-
-    def bytes_out(self, cols: int, batch: int) -> int:
-        return OUTPUT_EVENT_BYTES * cols * batch
-
-    def stage_bytes(self, c: InstanceCost) -> tuple:
-        """(outbound, wire, response) bytes of one run: configuration plus
-        input events, all traffic over the link, output events."""
-        outbound = self.bytes_config(c.rows, c.cols) * self.config_rep(c.batch) + self.bytes_in(
-            c.rows, c.batch, c.hw_params.num_sends
-        )
-        response = self.bytes_out(c.cols, c.batch)
-        return outbound, outbound + response, response
-
-    def event_time(self, rows: int, batch: int, params: HwParams, link) -> float:
-        """On-chip event time over a ``perf.LinkBudget``'s clock."""
-        return batch * params.num_sends * rows * params.wait_between_events * link.clock_period_s
-
-
-class DefaultTiming:
-    """Byte-proportional stage costs, independent of any link model."""
-
-    per_run_overhead = 1e-4
-    byte_time = 1e-9
-
-    def durations(self, cost: InstanceCost):
-        pre, wire, post = CostModel().stage_bytes(cost)
-        return self.per_run_overhead + self.byte_time * pre, self.byte_time * wire, self.byte_time * post
-
-
-@dataclass
-class StageTimes:
-    pre_start: float
-    pre_end: float
-    exec_start: float
-    exec_end: float
-    post_start: float
-    post_end: float
-
-
 @dataclass
 class TraceRow:
     instance: int
-    times: StageTimes
-    bytes: tuple  # (pre, exec, post): CostModel.stage_bytes
+    times: perf.StageTimes
+    bytes: tuple  # (pre, exec, post): perf.CostModel.stage_bytes
 
 
 @dataclass
@@ -221,50 +155,6 @@ class RunTrace:
             writer.writerow([r.instance, "exec", repr(t.exec_start), repr(t.exec_end), exec_])
             writer.writerow([r.instance, "post", repr(t.post_start), repr(t.post_end), post])
         return buf.getvalue()
-
-
-def schedule_pipeline(
-    durations: dict,
-    resource_of: dict,
-    deps: dict,
-    workers: int | None = None,
-    force_serial: bool = False,
-) -> dict:
-    """Deterministic list schedule of the three-stage pipeline.
-
-    durations: id -> (t_pre, t_exec, t_post); resource_of: id -> hashable
-    exclusive-execution key; deps: id -> iterable of ids whose results must be
-    stored first. Host workers (shared by pre and post) are limited by
-    ``workers``; None means one worker per ready instance.
-    """
-    order = g._toposort({i: tuple(deps.get(i, ())) for i in durations})
-    resource_free: dict = {}
-    worker_free = [0.0] * workers if workers else None
-    schedule: dict[int, StageTimes] = {}
-    prev_end = 0.0
-
-    def take_worker(ready: float, duration: float) -> tuple:
-        if worker_free is None:
-            return ready, ready + duration
-        idx = min(range(len(worker_free)), key=lambda w: (worker_free[w], w))
-        start = max(ready, worker_free[idx])
-        worker_free[idx] = start + duration
-        return start, start + duration
-
-    for iid in order:
-        t_pre, t_exec, t_post = durations[iid]
-        ready = max((schedule[d].post_end for d in deps.get(iid, ())), default=0.0)
-        if force_serial:
-            ready = max(ready, prev_end)
-        pre_s, pre_e = take_worker(ready, t_pre)
-        key = resource_of[iid]
-        exec_s = max(pre_e, resource_free.get(key, 0.0))
-        exec_e = exec_s + t_exec
-        resource_free[key] = exec_e
-        post_s, post_e = take_worker(exec_e, t_post)
-        schedule[iid] = StageTimes(pre_s, pre_e, exec_s, exec_e, post_s, post_e)
-        prev_end = post_e
-    return schedule
 
 
 def _instance_parts(graph: g.DependencyGraph, inst: g.ExecutionInstance):
@@ -321,7 +211,7 @@ def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
     raise g.KindMismatch(f"unexpected digital vertex kind {v.kind}")
 
 
-def _finish(graph, values: dict, costs: dict, times: dict, model: CostModel) -> tuple:
+def _finish(graph, values: dict, costs: dict, times: dict, model: perf.CostModel) -> tuple:
     """Digital vertices, outputs and trace once every instance has stored."""
     for vid, v in graph.vertices.items():
         if v.kind in g.DIGITAL_KINDS:  # every one, so an unused vertex's error surfaces too
@@ -334,21 +224,12 @@ class Executor:
     def __init__(
         self,
         resources: SimulatedChips | None = None,
-        timing=None,
         workers: int | None = None,
         seed_salt: int = 0,
     ):
         self.resources = resources if resources is not None else global_resources()
-        self.timing = timing
         self.workers = workers
         self.seed_salt = seed_salt
-
-    def _timing(self):
-        if self.timing is not None:
-            return self.timing
-        from .perf import default_timing  # looked up per call: perf imports this module
-
-        return default_timing(self.resources.config.hw_version)
 
     def run(self, graph: g.DependencyGraph, mode: str = "simulated_time", force_serial: bool = False):
         """Execute the graph; returns ({external_store id: ndarray}, RunTrace)."""
@@ -363,7 +244,7 @@ class Executor:
             values, costs, times = self._run_simulated(graph, deps, order, force_serial)
         else:
             values, costs, times = self._run_measured(graph, deps, order)
-        return _finish(graph, values, costs, times, CostModel(self.resources.config.hw_version))
+        return _finish(graph, values, costs, times, perf.CostModel(self.resources.config.hw_version))
 
     def _exec_instance(self, graph, inst, values, lock, clock):
         """Run one instance; ``lock`` guards ``values``, ``clock`` stamps the stages.
@@ -389,7 +270,7 @@ class Executor:
         exec_e = clock()
         with lock:
             values[store.id] = y[:, :cols]
-        cost = InstanceCost(rows, cols, x.shape[0], hw_params)
+        cost = perf.InstanceCost(rows, cols, x.shape[0], hw_params)
         return cost, (pre_s, exec_s, exec_e, clock())
 
     def _run_simulated(self, graph, deps, order, force_serial):
@@ -399,10 +280,10 @@ class Executor:
         lock = threading.Lock()
         for iid in order:
             costs[iid], _ = self._exec_instance(graph, graph.instances[iid], values, lock, time.perf_counter)
-        timing = self._timing()
-        durations = {iid: timing.durations(c) for iid, c in costs.items()}
+        timing = perf.default_timing(self.resources.config.hw_version)
+        durations = {iid: timing.durations(c) for iid, c in costs.items()}  # in topological order
         resource_of = {iid: graph.instances[iid].array_binding for iid in costs}
-        return values, costs, schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
+        return values, costs, perf.schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
 
     def _run_measured(self, graph, deps, order):
         """Instances on a thread pool; the trace holds wall-clock stage times."""
@@ -426,7 +307,7 @@ class Executor:
                 costs[iid], (pre_s, exec_s, exec_e, post_e) = self._exec_instance(
                     graph, graph.instances[iid], values, lock, clock
                 )
-                times[iid] = StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, post_e)
+                times[iid] = perf.StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, post_e)
             finally:
                 done[iid].set()
 
@@ -439,6 +320,3 @@ class Executor:
                 f.result()
         return values, costs, times
 
-
-def run(graph, mode="simulated_time", resources=None, timing=None, workers=None, force_serial=False):
-    return Executor(resources, timing, workers).run(graph, mode, force_serial)

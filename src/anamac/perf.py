@@ -1,17 +1,23 @@
-"""Analytical timing and throughput model of the host<->chip channel.
+"""The link model of a chip run: its bytes, its stage durations, its schedule.
 
-Per execution, the run time is a fixed overhead plus the maximum of the wire
-time (configuration, input and output traffic over the link) and the on-chip
-event time (inputs are injected as events spaced by wait_between_events clock
-cycles, repeated num_sends times). The first chip version (V1) must rewrite
-the synapse array for every sent input, which multiplies the configuration
-traffic by the batch size.
+``CostModel`` counts every byte of a run from its ``InstanceCost``: the
+configuration, input events and output events over the host<->chip link. The
+first chip version (V1) must rewrite the synapse array for every sent input,
+which multiplies the configuration traffic by the batch size.
 
-Per-event encoding sizes (``CostModel``, which counts every byte of a run)
-and the calibration constants (per-run overhead, protocol efficiency, clock
-period) are not hardware truth; they were fitted once against published
-throughput anchors and frozen into the encoding constants and link_1g.cfg /
-link_8g.cfg. Tests use the frozen files and never refit.
+``CostTiming`` turns those bytes into the three stage durations: preprocessing
+is a fixed per-run overhead plus host handling of the outbound bytes;
+execution is the maximum of the wire time (all traffic over the link) and the
+on-chip event time (inputs are injected as events spaced by
+wait_between_events clock cycles, repeated num_sends times); postprocessing
+is host handling of the response bytes. ``schedule_pipeline`` lays those
+durations out as a pipelined list schedule. The executor's simulated clock
+and the throughput sweeps below both run on these three pieces.
+
+The encoding sizes and the calibration constants (per-run overhead, protocol
+efficiency, clock period) are not hardware truth; they were fitted once
+against published throughput anchors and frozen into the encoding constants
+and link_1g.cfg / link_8g.cfg. Tests use the frozen files and never refit.
 """
 
 from __future__ import annotations
@@ -22,8 +28,110 @@ import io
 from dataclasses import dataclass
 
 from .chip import HwParams, _read_kv
-from .executor import CostModel, InstanceCost, schedule_pipeline  # CostModel re-exported
-from .partition import TileSpec, partition_matmul
+from .partition import partition_matmul
+
+
+@dataclass(frozen=True)
+class InstanceCost:
+    """Stage-duration inputs for one instance; bytes use the physical extents."""
+
+    rows: int  # active physical rows (pairs counted twice for signed)
+    cols: int  # active columns
+    batch: int
+    hw_params: HwParams
+
+
+# link encoding sizes in bytes, frozen with the link configs
+CONFIG_BYTES_PER_WEIGHT = 5
+INPUT_EVENT_BYTES = 6
+OUTPUT_EVENT_BYTES = 4
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """The link's data volumes, the only byte count of a chip run."""
+
+    hw_version: str = "V2"
+
+    def config_rep(self, batch: int) -> int:
+        # V1 rewrites the synapse array for each sent input
+        return max(batch, 1) if self.hw_version == "V1" else 1
+
+    def bytes_config(self, rows: int, cols: int) -> int:
+        return CONFIG_BYTES_PER_WEIGHT * rows * cols
+
+    def bytes_in(self, rows: int, batch: int, num_sends: int) -> int:
+        return INPUT_EVENT_BYTES * rows * batch * num_sends
+
+    def bytes_out(self, cols: int, batch: int) -> int:
+        return OUTPUT_EVENT_BYTES * cols * batch
+
+    def stage_bytes(self, c: InstanceCost) -> tuple:
+        """(outbound, wire, response) bytes of one run: configuration plus
+        input events, all traffic over the link, output events."""
+        outbound = self.bytes_config(c.rows, c.cols) * self.config_rep(c.batch) + self.bytes_in(
+            c.rows, c.batch, c.hw_params.num_sends
+        )
+        response = self.bytes_out(c.cols, c.batch)
+        return outbound, outbound + response, response
+
+
+@dataclass
+class StageTimes:
+    pre_start: float
+    pre_end: float
+    exec_start: float
+    exec_end: float
+    post_start: float
+    post_end: float
+
+
+def schedule_pipeline(
+    durations: dict,
+    resource_of: dict,
+    deps: dict,
+    workers: int | None = None,
+    force_serial: bool = False,
+) -> dict:
+    """Deterministic list schedule of the three-stage pipeline.
+
+    durations: id -> (t_pre, t_exec, t_post), listed in a topological order,
+    which is the order of scheduling; resource_of: id -> hashable
+    exclusive-execution key; deps: id -> iterable of ids whose results must be
+    stored first. Host workers (shared by pre and post) are limited by
+    ``workers``; None means one worker per ready instance. An instance listed
+    before one of its dependencies raises ``ValueError``.
+    """
+    resource_free: dict = {}
+    worker_free = [0.0] * workers if workers else None
+    schedule: dict[int, StageTimes] = {}
+    prev_end = 0.0
+
+    def take_worker(ready: float, duration: float) -> tuple:
+        if worker_free is None:
+            return ready, ready + duration
+        idx = min(range(len(worker_free)), key=lambda w: (worker_free[w], w))
+        start = max(ready, worker_free[idx])
+        worker_free[idx] = start + duration
+        return start, start + duration
+
+    for iid, (t_pre, t_exec, t_post) in durations.items():
+        ready = 0.0
+        for d in deps.get(iid, ()):
+            if d not in schedule:
+                raise ValueError(f"instance {iid} is listed before its dependency {d}")
+            ready = max(ready, schedule[d].post_end)
+        if force_serial:
+            ready = max(ready, prev_end)
+        pre_s, pre_e = take_worker(ready, t_pre)
+        key = resource_of[iid]
+        exec_s = max(pre_e, resource_free.get(key, 0.0))
+        exec_e = exec_s + t_exec
+        resource_free[key] = exec_e
+        post_s, post_e = take_worker(exec_e, t_post)
+        schedule[iid] = StageTimes(pre_s, pre_e, exec_s, exec_e, post_s, post_e)
+        prev_end = post_e
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -56,21 +164,8 @@ def load_link_config(name_or_path) -> LinkBudget:
     )
 
 
-def wire_time(rows, cols, batch, params: HwParams, link: LinkBudget, cost: CostModel) -> float:
-    _, wire_bytes, _ = cost.stage_bytes(InstanceCost(rows, cols, batch, params))
-    return link.seconds_on_wire(wire_bytes)
-
-
-def time_per_run(tile, batch: int, params: HwParams, link: LinkBudget, cost: CostModel) -> float:
-    """Seconds for one chip run of a tile over a whole batch."""
-    rows, cols = (tile.rows, tile.cols) if isinstance(tile, TileSpec) else tile
-    wire = wire_time(rows, cols, batch, params, link, cost)
-    event = cost.event_time(rows, batch, params, link)
-    return link.per_run_overhead_s + max(wire, event)
-
-
 class CostTiming:
-    """Three-stage durations for the executor's simulated clock.
+    """Three-stage durations of one run under a link budget.
 
     Preprocessing carries the per-run overhead plus host handling of the
     outbound bytes; execution is the link/on-chip maximum; postprocessing is
@@ -81,11 +176,16 @@ class CostTiming:
         self.link = link
         self.cost = cost or CostModel()
 
+    def event_time(self, c: InstanceCost) -> float:
+        """On-chip event time: every input event of every send, spaced by the wait."""
+        p = c.hw_params
+        return c.batch * p.num_sends * c.rows * p.wait_between_events * self.link.clock_period_s
+
     def durations(self, c: InstanceCost) -> tuple:
         outbound, wire_bytes, response = self.cost.stage_bytes(c)
         link = self.link
         pre = link.per_run_overhead_s + link.host_byte_time_s * outbound
-        exec_ = max(link.seconds_on_wire(wire_bytes), self.cost.event_time(c.rows, c.batch, c.hw_params, link))
+        exec_ = max(link.seconds_on_wire(wire_bytes), self.event_time(c))
         return pre, exec_, link.host_byte_time_s * response
 
 
@@ -107,28 +207,21 @@ SWEEP_BATCH = 2000  # fixed batch for the size sweep
 SWEEP_SIZE = 256  # fixed square size for the batch sweep
 
 
-def scenario_parts(scenario: str) -> tuple:
-    link_name, hw_version, params = SCENARIOS[scenario]
-    return load_link_config(link_name), CostModel(hw_version=hw_version), params
-
-
-def _tile_schedule(n: int, m: int, batch: int, scenario: str, arrays=None):
+def _tile_schedule(n: int, m: int, batch: int, scenario: str):
     """Pipelined schedule of all tiles of an n x m matmul (unsigned weights).
 
     Tile executions serialize per chip (the link is shared per chip); pre and
     postprocessing of independent tiles overlap freely.
     """
-    link, cost, params = scenario_parts(scenario)
-    arrays = arrays or [(0, 0), (0, 1)]
-    plan = partition_matmul(n, m, signed=False, arrays=arrays)
-    timing = CostTiming(link, cost)
+    link_name, hw_version, params = SCENARIOS[scenario]
+    timing = CostTiming(load_link_config(link_name), CostModel(hw_version))
+    plan = partition_matmul(n, m, signed=False, arrays=[(0, 0), (0, 1)])
     durations = {}
     resource_of = {}
     for idx, tile in enumerate(plan.tiles):
         durations[idx] = timing.durations(InstanceCost(tile.rows, tile.cols, batch, params))
         resource_of[idx] = tile.array_binding[0]  # serialize per chip link
-    deps = {idx: () for idx in durations}
-    return schedule_pipeline(durations, resource_of, deps), durations
+    return schedule_pipeline(durations, resource_of, {}), durations
 
 
 def _makespan(schedule: dict) -> float:

@@ -134,13 +134,15 @@ def read_tensor(path) -> Tensor:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise BadMagic(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    offset = 8  # magic, version, dtype code, rank
+    if len(raw) < offset:
+        raise TruncatedPayload("header truncated")
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"file version {version}, supported: {FORMAT_VERSION}")
     code, rank = struct.unpack_from("<BB", raw, 6)
     if code not in _CODE_TO_NAME:
         raise BadMagic(f"unknown dtype code {code}")
-    offset = 8
     if len(raw) < offset + 4 * rank:
         raise TruncatedPayload("header truncated")
     dims = struct.unpack_from(f"<{rank}I", raw, offset) if rank else ()

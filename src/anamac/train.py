@@ -146,14 +146,13 @@ def _integer_product(xq, wq) -> np.ndarray:
 def matmul_forward(x: np.ndarray, layer, ctx: ForwardContext):
     """Quantized matmul through the software model or the chip pipeline.
 
-    Returns (y_float, saved_state); saved_state carries the float inputs and
-    the dequantized outputs for the backward pass.
+    Returns (y_float, saved_state); saved_state carries the float inputs for
+    the backward pass.
     """
     w = layer.weights
     spec = quant_spec(x, w, _gain(ctx))
     y = _forward_quantized(quantize_inputs(x, spec), quantize_weights(w, spec), spec, layer, ctx)
-    state = {"x": np.asarray(x, dtype=np.float32), "y": y}
-    return y, state
+    return y, {"x": np.asarray(x, dtype=np.float32)}
 
 
 def matmul_backward(grad_y: np.ndarray, state, layer):

@@ -16,7 +16,7 @@ import pytest
 from anamac import graph as g
 from anamac import lowering, perf
 from anamac.chip import ChipConfig, HwParams
-from anamac.executor import DefaultTiming, Executor, SimulatedChips, instance_rng
+from anamac.executor import Executor, SimulatedChips, instance_rng
 from anamac.partition import allocation_counts, build_graph, partition_matmul
 from anamac.tensor import tensor, write_csv
 
@@ -59,7 +59,6 @@ def test_criterion_1_oracle_equivalence():
     with verdict(1, "oracle equivalence"):
         rng = np.random.default_rng(2024)
         resources = SimulatedChips(2, NOISELESS)
-        timing = DefaultTiming()
         start = time.monotonic()
         for _ in range(1000):
             n = int(rng.integers(1, 601))
@@ -69,7 +68,7 @@ def test_criterion_1_oracle_equivalence():
             w, x = _sparse_operands(rng, n, m, batch, signed)
             plan = partition_matmul(n, m, signed=signed, arrays=resources.array_bindings())
             graph = build_graph(plan, w, x)
-            outputs, _ = Executor(resources, timing=timing).run(graph)
+            outputs, _ = Executor(resources).run(graph)
             (y,) = outputs.values()
             oracle = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127)
             assert np.array_equal(y, oracle), (n, m, batch, signed)
@@ -97,7 +96,6 @@ def test_criterion_2_conv_lowering_equivalence():
     with verdict(2, "conv lowering equivalence"):
         rng = np.random.default_rng(7)
         resources = SimulatedChips(2, NOISELESS)
-        timing = DefaultTiming()
         for _ in range(500):
             spec = _random_conv_spec(rng)
             # |sum| <= taps * C_in * 2 <= 48 * 2 = 96: saturation-free
@@ -112,7 +110,7 @@ def test_criterion_2_conv_lowering_equivalence():
                 spec.matrix_rows, spec.out_channels, signed=True, arrays=resources.array_bindings()
             )
             graph = build_graph(plan, matrix.astype(np.int8), vectors.astype(np.uint8))
-            outputs, _ = Executor(resources, timing=timing).run(graph)
+            outputs, _ = Executor(resources).run(graph)
             (flat,) = outputs.values()
             y = desc.fold(flat)
             assert np.array_equal(y, lowering.direct_conv(spec, kernel, x)), spec

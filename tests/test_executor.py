@@ -10,7 +10,6 @@ from anamac import chip, executor, graph as g, perf
 from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, HwParams, InputOutOfRange, WeightOutOfRange
 from anamac.executor import (
     Executor,
-    InstanceCost,
     SimulatedChips,
     Unavailable,
     acquire_chips,
@@ -18,9 +17,9 @@ from anamac.executor import (
     global_resources,
     instance_rng,
     reset_resources,
-    schedule_pipeline,
 )
 from anamac.partition import build_graph, partition_matmul
+from anamac.perf import InstanceCost, schedule_pipeline
 
 NOISELESS = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
 NOISY = ChipConfig(chip_seed=3)
@@ -122,6 +121,37 @@ def test_force_serial_is_slower():
     serial = schedule_pipeline(durations, resource_of, deps, force_serial=True)
     assert max(t.post_end for t in serial.values()) == 12.0
     assert max(t.post_end for t in pipelined.values()) < 12.0
+
+
+@st.composite
+def _pipelines(draw):
+    """A dependency DAG listed in a topological order, under shuffled instance ids."""
+    n = draw(st.integers(1, 10))
+    ids = draw(st.permutations(range(n)))
+    stage = st.floats(0.0, 10.0)
+    durations = {ids[i]: (draw(stage), draw(stage), draw(stage)) for i in range(n)}
+    resource_of = {iid: draw(st.integers(0, 2)) for iid in durations}
+    deps = {ids[0]: ()}
+    for i in range(1, n):
+        deps[ids[i]] = tuple(ids[j] for j in draw(st.sets(st.integers(0, i - 1), max_size=3)))
+    return durations, resource_of, deps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pipelines(), st.sampled_from([None, 1, 2]), st.booleans())
+def test_schedule_pipeline_properties(pipeline, workers, force_serial):
+    durations, resource_of, deps = pipeline
+    sched = schedule_pipeline(durations, resource_of, deps, workers, force_serial)
+    assert list(sched) == list(durations)
+    for iid, t in sched.items():
+        assert t.pre_start <= t.pre_end <= t.exec_start <= t.exec_end <= t.post_start <= t.post_end
+        assert all(sched[d].post_end <= t.pre_start for d in deps[iid])
+    for key in set(resource_of.values()):
+        runs = sorted((sched[i].exec_start, sched[i].exec_end) for i in sched if resource_of[i] == key)
+        assert all(end <= start for (_, end), (start, _) in zip(runs, runs[1:]))
+    if any(deps.values()):
+        with pytest.raises(ValueError, match="listed before its dependency"):
+            schedule_pipeline(dict(reversed(durations.items())), resource_of, deps, workers, force_serial)
 
 
 # -- execution modes -------------------------------------------------------
@@ -416,10 +446,9 @@ def test_instance_cost_byte_accounting():
     """5 B per weight (V1: once per sent input), 6 B per input event and send, 4 B per output."""
     c = InstanceCost(rows=100, cols=50, batch=4, hw_params=HwParams(num_sends=6))
     # V2: 5*100*50 + 6*100*4*6 = 25,000 + 14,400 out; 4*50*4 = 800 back
-    assert executor.CostModel("V2").stage_bytes(c) == (39_400, 40_200, 800)
+    assert perf.CostModel("V2").stage_bytes(c) == (39_400, 40_200, 800)
     # V1 rewrites the array for each of the 4 inputs: 4 * 25,000 + 14,400
-    assert executor.CostModel("V1").stage_bytes(c) == (114_400, 115_200, 800)
-    assert perf.CostModel is executor.CostModel
+    assert perf.CostModel("V1").stage_bytes(c) == (114_400, 115_200, 800)
 
 
 @pytest.mark.parametrize("hw_version", ["V1", "V2"])
@@ -437,36 +466,43 @@ def test_trace_bytes_are_the_bytes_the_timing_charged(hw_version):
         outbound = 5 * rows * cols * (3 if hw_version == "V1" else 1) + 6 * rows * 3 * 6
         assert (pre, wire, post) == (outbound, outbound + 4 * cols * 3, 4 * cols * 3)
         assert t.pre_end - t.pre_start == pytest.approx(link.per_run_overhead_s + link.host_byte_time_s * pre)
-        event = executor.CostModel().event_time(rows, 3, HwParams(), link)
+        event = 3 * 6 * rows * 25 * link.clock_period_s  # batch, sends, rows, wait in clock cycles
         assert t.exec_end - t.exec_start == pytest.approx(max(wire * byte_s, event))
         assert t.post_end - t.post_start == pytest.approx(link.host_byte_time_s * post)
     measured = Executor(res).run(graph, mode="measured_time")[1]
     assert sorted((r.instance, r.bytes) for r in measured.rows) == sorted((r.instance, r.bytes) for r in trace.rows)
 
 
-def test_hw_version_of_the_pool_sets_the_timing():
+def test_hw_version_of_the_pool_sets_the_timing(monkeypatch):
     """A V1 chip rewrites its array per sent input; the V2 timing is the link_8g model as before."""
     graph, _, _ = _simple_graph(np.random.default_rng(7), batch=3)
     v1 = Executor(SimulatedChips(1, ChipConfig(hw_version="V1"))).run(graph)[1]
     v2 = Executor(SimulatedChips(1, ChipConfig(hw_version="V2"))).run(graph)[1]
     assert v1.makespan > v2.makespan
     link_8g = perf.CostTiming(perf.load_link_config("link_8g"))
-    explicit = Executor(SimulatedChips(1, ChipConfig()), timing=link_8g).run(graph)[1]
+    monkeypatch.setattr(perf, "default_timing", lambda hw_version: link_8g)
+    explicit = Executor(SimulatedChips(1, ChipConfig())).run(graph)[1]
     assert v2.to_csv() == explicit.to_csv()
 
 
 def test_one_run_analyses_the_instance_graph_once(monkeypatch):
     calls = []
     real = g.DependencyGraph.instance_dependencies
+    real_sort = g._toposort
 
     def counted(graph):
-        calls.append(1)
+        calls.append("deps")
         return real(graph)
+
+    def counted_sort(inputs_of):
+        calls.append("sort")
+        return real_sort(inputs_of)
 
     def forbidden(graph):
         raise AssertionError("the run re-analysed its graph")
 
     monkeypatch.setattr(g.DependencyGraph, "instance_dependencies", counted)
+    monkeypatch.setattr(g, "_toposort", counted_sort)
     monkeypatch.setattr(g, "topo_schedule", forbidden)
     monkeypatch.setattr(g, "vertex_order", forbidden)
     graph, _, _ = _simple_graph(np.random.default_rng(7))
@@ -474,7 +510,8 @@ def test_one_run_analyses_the_instance_graph_once(monkeypatch):
     for mode in ("simulated_time", "measured_time"):
         calls.clear()
         ex.run(graph, mode=mode)
-        assert calls == [1], mode
+        # validate sorts the vertices, the run sorts the instances; the schedule sorts nothing
+        assert sorted(calls) == ["deps", "sort", "sort"], mode
 
 
 def test_an_unused_digital_vertex_still_raises():

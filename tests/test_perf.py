@@ -3,7 +3,6 @@ import pytest
 
 from anamac import perf
 from anamac.chip import HwParams
-from anamac.partition import TileSpec
 
 
 def test_link_configs_load_and_validate():
@@ -23,14 +22,14 @@ def test_link_budget_invariants():
         perf.LinkBudget(1e9, 1e-3, 1.5, 1e-8, 1e-10)
 
 
-def test_wire_time_scales_with_volume():
-    link = perf.load_link_config("link_1g")
-    cost = perf.CostModel()
+def test_exec_time_scales_with_wire_volume():
+    timing = perf.CostTiming(perf.load_link_config("link_1g"))
     params = HwParams(num_sends=1, wait_between_events=1)
-    t1 = perf.wire_time(128, 128, 100, params, link, cost)
-    t2 = perf.wire_time(256, 128, 100, params, link, cost)
+    _, t1, _ = timing.durations(perf.InstanceCost(128, 128, 100, params))
+    _, t2, _ = timing.durations(perf.InstanceCost(256, 128, 100, params))
     assert t2 > t1
-    # hand-computed: bytes * 8 / bandwidth
+    # hand-computed: bytes * 8 / bandwidth; the wire outlasts the events here
+    cost = timing.cost
     total = cost.bytes_config(128, 128) + cost.bytes_in(128, 100, 1) + cost.bytes_out(128, 100)
     assert t1 == pytest.approx(total * 8 / 1e9)
 
@@ -61,22 +60,25 @@ def test_v1_wire_volume_dwarfs_v2():
     assert volume(v1, params_v1) / volume(v2, params_v2) >= 64
 
 
-def test_time_per_run_is_overhead_plus_bottleneck():
-    link = perf.load_link_config("link_8g")
-    cost = perf.CostModel()
-    params = HwParams(num_sends=1, wait_between_events=1)
-    tile = TileSpec((0, 256), (0, 256), (0, 0), 0)
-    t = perf.time_per_run(tile, 1000, params, link, cost)
-    wire = perf.wire_time(256, 256, 1000, params, link, cost)
-    event = cost.event_time(256, 1000, params, link)
-    assert t == pytest.approx(link.per_run_overhead_s + max(wire, event))
+def test_durations_are_overhead_plus_bottleneck():
+    """Pre carries the per-run overhead; exec is the larger of wire and on-chip event time."""
+    timing = perf.CostTiming(perf.load_link_config("link_8g"))
+    c = perf.InstanceCost(256, 256, 1000, HwParams(num_sends=1, wait_between_events=1))
+    pre, exec_, post = timing.durations(c)
+    # hand-computed: 5 B per weight and 6 B per input event out, 4 B per output back
+    outbound, response = 5 * 256 * 256 + 6 * 256 * 1000, 4 * 256 * 1000
+    wire = (outbound + response) * 8 / 8e9
+    event = 1000 * 256 * 1.6e-8
+    assert timing.event_time(c) == pytest.approx(event)
+    assert pre == pytest.approx(8e-4 + 5e-11 * outbound)
+    assert exec_ == pytest.approx(max(wire, event))
+    assert post == pytest.approx(5e-11 * response)
 
 
 def test_event_time_grows_with_sends_and_wait():
-    link = perf.load_link_config("link_1g")
-    cost = perf.CostModel()
-    slow = cost.event_time(256, 100, HwParams(num_sends=6, wait_between_events=25), link)
-    fast = cost.event_time(256, 100, HwParams(num_sends=1, wait_between_events=1), link)
+    timing = perf.CostTiming(perf.load_link_config("link_1g"))
+    slow = timing.event_time(perf.InstanceCost(256, 256, 100, HwParams(num_sends=6, wait_between_events=25)))
+    fast = timing.event_time(perf.InstanceCost(256, 256, 100, HwParams(num_sends=1, wait_between_events=1)))
     assert slow == pytest.approx(fast * 150)
 
 

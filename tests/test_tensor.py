@@ -105,6 +105,14 @@ def test_truncated_payload(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("raw", [b"ATNS\x01", b"ATNS\x01\x00\x00"])
+def test_magic_without_the_fixed_header(tmp_path, raw):
+    path = tmp_path / "h.tns"
+    path.write_bytes(raw)
+    with pytest.raises(TruncatedPayload, match="^header truncated$"):
+        read_tensor(path)
+
+
 def test_trailing_payload_bytes(tmp_path):
     """A longer file, such as two tensors written back to back, is not read as its first tensor."""
     t = tensor(np.arange(100), dtype="i32")

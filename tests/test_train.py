@@ -69,7 +69,7 @@ def test_software_forward_is_clamped_quantized_matmul():
         y, state = matmul_forward(x, _Bare(w), ctx)
         ref = np.clip(x.astype(np.int64) @ w.astype(np.int64), -128, 127).astype(np.float32)
         assert np.array_equal(y, ref)
-        assert np.array_equal(state["x"], x)
+        assert list(state) == ["x"] and np.array_equal(state["x"], x)
 
 
 def test_chip_forward_matches_software_when_noiseless():
