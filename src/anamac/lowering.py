@@ -11,6 +11,7 @@ a single run; ``anamac lower-conv --explain`` shows that packing plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ class ConvSpec:
 
     @property
     def taps(self) -> int:
-        return int(np.prod(self.kernel))
+        return math.prod(self.kernel)
 
     @property
     def matrix_rows(self) -> int:
@@ -65,7 +66,7 @@ class ConvSpec:
 
     @property
     def positions(self) -> int:
-        return int(np.prod(self.out_extent))
+        return math.prod(self.out_extent)
 
 
 def conv1d_spec(in_channels, out_channels, k, stride, extent) -> ConvSpec:

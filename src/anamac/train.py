@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lowering
-from .chip import ChipConfig, HwParams
+from .chip import ChipConfig, HwParams, gaussian_noise
 from .executor import Executor, SimulatedChips, global_resources
 from .partition import build_graph, partition_matmul
 from .quant import (
@@ -68,7 +68,7 @@ class ForwardContext:
 
     backend: str = "software"  # software | chip
     resources: SimulatedChips | None = None  # None: the chip backend uses global_resources()
-    noise_lsb: float = 0.0  # software-model Gaussian output noise, output LSB
+    noise_lsb: float = 0.0  # software-model Gaussian output noise, output LSB, drawn by chip.gaussian_noise
     rng: np.random.Generator | None = None  # required when noise_lsb > 0
     seed_salt: int = 0  # decorrelates chip temporal noise across steps
 
@@ -125,7 +125,7 @@ def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
     if ctx.noise_lsb > 0:
         if ctx.rng is None:
             raise ValueError("software noise (noise_lsb > 0) needs a seeded ForwardContext.rng")
-        analog = analog + ctx.rng.normal(0.0, ctx.noise_lsb, size=analog.shape)
+        analog += gaussian_noise(ctx.rng, analog.shape, ctx.noise_lsb)
     y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
     return dequantize_outputs(y8, spec)
 

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from anamac.chip import noise_table
 from anamac.executor import SimulatedChips
 from anamac.train import ForwardContext, cross_entropy_grad, har_model, quantized_matmul
 
@@ -27,6 +28,13 @@ def _sha(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def test_noise_table_bytes():
+    """The temporal-noise levels come from Python's inv_cdf and the C library's
+    log and sqrt, not from BLAS or numpy's SIMD code. If another platform moves a
+    level, this test names the table rather than every noisy golden below it."""
+    assert _sha(noise_table()) == "1cfbba1e07e34386"
+
+
 def _matmul_operands():
     rng = np.random.default_rng(0)
     x = rng.random((16, 700), dtype=np.float32)
@@ -38,7 +46,7 @@ def _matmul_operands():
 def test_quantized_matmul_bitstream(mode):
     x, w = _matmul_operands()
     y, trace = quantized_matmul(x, w, SimulatedChips(2), mode=mode)
-    assert _sha(y) == "d8f25b6e78ec6478", BLAS_NOTE
+    assert _sha(y) == "b5fd21a993066695", BLAS_NOTE
     if mode == "simulated_time":
         assert hashlib.sha256(trace.to_csv().encode()).hexdigest()[:16] == "9f6a73a4d98b309a"
 
@@ -57,7 +65,7 @@ def _har_logits(**ctx_kwargs):
 
 
 def test_har_steps_bitstream():
-    assert _har_logits(backend="chip", resources=SimulatedChips(1)) == "507a0a67423f3ee0", BLAS_NOTE
+    assert _har_logits(backend="chip", resources=SimulatedChips(1)) == "63bc5d4033f38cde", BLAS_NOTE
     assert _har_logits(backend="software") == "d11d015cff01fa0f", BLAS_NOTE
     noisy = _har_logits(backend="software", noise_lsb=2, rng=np.random.default_rng(9))
-    assert noisy == "4c944584f065625f", BLAS_NOTE
+    assert noisy == "1f914eb53fbdc755", BLAS_NOTE

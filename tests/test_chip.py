@@ -1,4 +1,5 @@
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,9 @@ from anamac.chip import (
     InputOutOfRange,
     SynapseArray,
     WeightOutOfRange,
+    gaussian_noise,
     load_chip_config,
+    noise_table,
 )
 
 NOISELESS = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
@@ -223,8 +226,8 @@ def _written_out_mac(array, x, params, rng):
     Each weight takes the fixed-pattern gain of the synapse it sits on: row r
     of an unsigned block is physical row r; a signed weight sits on row 2r if
     it is positive and on row 2r+1 if it is negative, with the input sent to
-    both rows of the pair. Temporal noise is drawn for the configured columns.
-    Every step is float32.
+    both rows of the pair. Temporal noise is drawn for the configured columns:
+    sigma times the table level at a uniform uint16 index. Every step is float32.
     """
     cfg = array.config
     rows, cols = array.rows, array.cols
@@ -236,7 +239,7 @@ def _written_out_mac(array, x, params, rng):
     effective = w * array.fixed_gain[physical, np.arange(cols)]
     acc = x.astype(np.float32) @ effective
     sigma = np.float32(cfg.sigma_temporal / np.sqrt(params.num_sends))
-    noise = sigma * rng.standard_normal((x.shape[0], cols), dtype=np.float32)
+    noise = sigma * noise_table()[rng.integers(0, 2**16, (x.shape[0], cols), dtype=np.uint16)]
     v = np.float32(cfg.gain) * acc + array.neuron_offset[:cols] + noise
     assert v.dtype == np.float32
     return np.clip(np.sign(v) * np.floor(np.abs(v) + 0.5), -128, 127).astype(np.int8)
@@ -301,6 +304,26 @@ def test_temporal_noise_varies_per_run_but_follows_the_rng():
     y3 = array.mac(x, HwParams(), np.random.default_rng(8))
     assert np.array_equal(y1, y2)
     assert not np.array_equal(y1, y3)
+
+
+def test_noise_table_holds_the_standard_normal_quantiles():
+    levels = noise_table()
+    assert (levels.dtype, levels.shape) == (np.float32, (2**16,))
+    assert (np.diff(levels) > 0).all()
+    assert np.array_equal(levels, -levels[::-1])
+    end = np.float32(statistics.NormalDist().inv_cdf(1 - 2**-17))
+    assert levels[-1] == end and abs(end - 4.3249) < 1e-4
+    assert abs(levels.astype(np.float64).std() - 1.0) < 2e-5
+
+
+def test_table_noise_is_standard_normal_by_kolmogorov_smirnov():
+    values = gaussian_noise(np.random.default_rng(0), 10**6, 1.0)
+    assert values.dtype == np.float32
+    levels, counts = np.unique(values, return_counts=True)
+    cdf = np.array([statistics.NormalDist().cdf(v) for v in levels.tolist()])
+    above = np.cumsum(counts) / values.size  # the empirical cdf at each level
+    below = above - counts / values.size  # and just below it
+    assert max(np.abs(above - cdf).max(), np.abs(below - cdf).max()) < 2e-3
 
 
 def test_num_sends_reduces_temporal_noise():

@@ -51,6 +51,13 @@ def test_initialization_happens_once():
     assert res.init_count == 1
 
 
+def test_initialization_does_not_build_the_noise_table():
+    """The fixed pattern is drawn at set-up; the temporal-noise table waits for the first noisy MAC."""
+    chip.noise_table.cache_clear()
+    SimulatedChips(2, NOISY).initialize()
+    assert chip.noise_table.cache_info().currsize == 0
+
+
 def test_acquire_more_than_configured_raises():
     configure_resources(1)
     with pytest.raises(Unavailable):

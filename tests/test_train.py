@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anamac.chip import ChipConfig
+from anamac.chip import ChipConfig, noise_table
 from anamac.executor import SimulatedChips, global_resources, reset_resources
 from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
 from anamac.quant import INPUT_MAX, WEIGHT_MAX, input_scale_for, quantize_inputs, round_half_away
@@ -145,7 +145,10 @@ def test_software_noise_without_a_generator_raises():
 
 
 def test_software_noise_is_added_before_the_one_digitisation():
-    """y8 = clip(round_half_away(gain * acc + rng.normal(0, noise_lsb)), -128, 127)."""
+    """y8 = clip(round_half_away(gain * acc + noise_lsb * level[index]), -128, 127).
+
+    The noise is the chip's: a table level at a uniform uint16 index, in float32.
+    """
     rng = np.random.default_rng(8)
     w = rng.integers(-63, 64, size=(288, 16)).astype(np.float32)
     w[0, 0] = 63.0  # pins weight_scale to 1
@@ -157,7 +160,8 @@ def test_software_noise_is_added_before_the_one_digitisation():
     ctx = ForwardContext(resources=res, noise_lsb=2.0, rng=np.random.default_rng(9))
     y, _ = matmul_forward(x, _Bare(w), ctx)
     acc = x.astype(np.int64) @ w.astype(np.int64)
-    analog = gain * acc + np.random.default_rng(9).normal(0.0, 2.0, size=acc.shape)
+    index = np.random.default_rng(9).integers(0, 2**16, acc.shape, dtype=np.uint16)
+    analog = gain * acc + np.float32(2.0) * noise_table()[index]
     y8 = np.clip(round_half_away(analog), -128, 127)
     assert 0 < np.count_nonzero((y8 == -128) | (y8 == 127)) < y8.size
     assert np.array_equal(y, y8.astype(np.float32) * np.float32(64.0))
