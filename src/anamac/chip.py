@@ -8,15 +8,17 @@ neurons. The analog path is modeled as an exact integer product distorted by
   * additive temporal noise per run, scaled down by sqrt(num_sends).
 
 The temporal noise is drawn from a table of 2**16 Gaussian quantiles, one
-uniform uint16 index per value (``gaussian_noise``). Its range is the end
-quantiles, +-4.32 sigma. The draw is integer work plus one table read, so the
-noisy bit-stream does not depend on the host CPU's SIMD path, and it costs a
-fraction of a float32 ``standard_normal``. The fixed pattern is drawn once per
-array with ``standard_normal``.
+uniform uint16 index per value (``gaussian_noise``), four indices to each
+64-bit word of the generator. Its range is the end quantiles, +-4.32 sigma. The
+draw is integer work plus one table read, so the noisy bit-stream does not
+depend on the host CPU's SIMD path, and it costs a fraction of a float32
+``standard_normal``. The fixed pattern is drawn once per array with
+``standard_normal``.
 
 Signed weights occupy excitatory/inhibitory row pairs; the array maps a signed
-block onto its pairs itself. The analog chain runs in float32: its noise is at
-least 0.8 LSB and its output an 8-bit code, so float64 would show nowhere. With
+block onto its pairs itself. A configured block is kept as float32, the type
+the analog chain multiplies in. The analog chain runs in float32: its noise is
+at least 0.8 LSB and its output an 8-bit code, so float64 would show nowhere. With
 all sigmas at zero the model still collapses to the exact saturating integer
 matmul, which the oracle tests rely on: every partial sum of a block is an
 integer of at most 256 * 31 * 63 < 2**24, so the float32 product is exact, and
@@ -146,8 +148,19 @@ def noise_table() -> np.ndarray:
 
 
 def gaussian_noise(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
-    """float32 N(0, sigma**2) noise of ``shape``: ``sigma`` times uniformly drawn table levels."""
-    noise = noise_table().take(rng.integers(0, NOISE_LEVELS, shape, dtype=np.uint16))
+    """float32 N(0, sigma**2) noise of ``shape``: ``sigma`` times uniformly drawn table levels.
+
+    Each 64-bit word of ``rng`` gives four uint16 indices, low half first. On a
+    fresh generator the indices equal ``rng.integers(0, 2**16, shape,
+    dtype=np.uint16)`` byte for byte, since numpy splits each word the same
+    way. They differ on a generator reused after a draw that left half a word
+    in its buffer: an earlier uint16 draw whose size is 1 or 2 (mod 4), or
+    any other draw that used 32 bits of a word.
+    """
+    n = math.prod(shape) if np.iterable(shape) else int(shape)
+    words = rng.integers(0, 2**64, -(-n // 4), dtype=np.uint64)
+    index = words.astype("<u8", copy=False).view("<u2")[:n].reshape(shape)
+    noise = noise_table().take(index, mode="wrap")  # every uint16 is a level: nothing wraps
     noise *= np.float32(sigma)
     return noise
 
@@ -163,7 +176,7 @@ class SynapseArray:
     def __init__(self, config: ChipConfig, array_index: int):
         self.config = config
         self.array_index = array_index
-        self.weights = np.zeros((ROWS, COLS), dtype=np.int8)
+        self._block = np.broadcast_to(np.float32(0), (ROWS, COLS))  # read-only, allocates nothing
         self.rows, self.cols, self.signed = ROWS, COLS, False
         gain_rng = np.random.default_rng([config.chip_seed, array_index, 0])
         offs_rng = np.random.default_rng([config.chip_seed, array_index, 1])
@@ -183,20 +196,31 @@ class SynapseArray:
         Unsigned: up to 256x256 weights in [0, 63]. Signed: up to 128x256
         weights in [-63, 63], logical row r on the physical pair 2r, 2r+1.
         The block's shape sets the live rows and columns for the next ``mac``;
-        ``weights`` keeps the block in its top-left corner.
+        the array keeps it as float32, and ``weights`` shows it as int8.
         """
         block = np.asarray(block)
         max_rows = SIGNED_ROWS if signed else ROWS
         if block.ndim != 2 or not (1 <= block.shape[0] <= max_rows and 1 <= block.shape[1] <= COLS):
             raise WeightOutOfRange(f"block must be 1x1 up to {max_rows}x{COLS}, got {block.shape}")
-        if block.dtype.kind not in "iu" or block.min() < -WEIGHT_MAX or block.max() > WEIGHT_MAX:
+        if block.dtype.kind not in "iu":
             raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
-        if not signed and block.min() < 0:
+        lo, hi = block.min(), block.max()
+        if lo < -WEIGHT_MAX or hi > WEIGHT_MAX:
+            raise WeightOutOfRange(f"weights must lie in [-{WEIGHT_MAX}, {WEIGHT_MAX}]")
+        if not signed and lo < 0:
             raise WeightOutOfRange(f"unsigned weights must lie in [0, {WEIGHT_MAX}]")
         self.rows, self.cols = block.shape
         self.signed = signed
-        self.weights.fill(0)
-        self.weights[: self.rows, : self.cols] = block
+        self._block = block.astype(np.float32)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The 256x256 int8 array: the configured logical block in its top-left
+        corner, zero elsewhere. A new array on each read; writing to it
+        configures nothing."""
+        out = np.zeros((ROWS, COLS), dtype=np.int8)
+        out[: self.rows, : self.cols] = self._block
+        return out
 
     @property
     def physical_rows(self) -> int:
@@ -224,24 +248,27 @@ class SynapseArray:
         x2 = np.atleast_2d(x)
         if x2.shape[1] != self.rows:
             raise InputOutOfRange(f"input width {x2.shape[1]}, expected {self.rows}")
-        if x2.dtype.kind not in "iu" or x2.min(initial=0) < 0 or x2.max(initial=0) > INPUT_MAX:
+        kind = x2.dtype.kind
+        if kind not in "iu" or (kind == "i" and x2.min(initial=0) < 0) or x2.max(initial=0) > INPUT_MAX:
             raise InputOutOfRange(f"inputs must be u8 in [0, {INPUT_MAX}]")
 
         rows, cols = self.rows, self.cols
-        w = self.weights[:rows, :cols].astype(np.float32)
+        w = self._block
         gain = self.fixed_gain[:, :cols]
-        if self.signed:  # in place on float32: the fewest temporaries and no int8 casts
+        if self.signed:  # in place on float32: the fewest temporaries
             effective = np.maximum(w, 0.0)
             effective *= gain[0 : 2 * rows : 2]
-            np.minimum(w, 0.0, out=w)
-            w *= gain[1 : 2 * rows : 2]
-            effective += w
+            negative = np.minimum(w, 0.0)
+            negative *= gain[1 : 2 * rows : 2]
+            effective += negative
         else:
             effective = w * gain[:rows]
-        acc = x2.astype(np.float32) @ effective
+        analog = x2.astype(np.float32) @ effective
+        analog *= np.float32(self.config.gain)
+        analog += self.neuron_offset[:cols]
         sigma = self.config.sigma_temporal / math.sqrt(params.num_sends)
-        noise = gaussian_noise(rng, acc.shape, sigma) if sigma > 0 else 0.0
-        analog = np.float32(self.config.gain) * acc + self.neuron_offset[:cols] + noise
+        if sigma > 0:
+            analog += gaussian_noise(rng, analog.shape, sigma)
         out = np.zeros((x2.shape[0], COLS), dtype=np.int8)
         out[:, :cols] = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
         return out[0] if single else out

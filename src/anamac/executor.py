@@ -6,16 +6,17 @@ the block and its ``signed`` flag and maps signed rows onto its row pairs
 itself), and postprocessing of the digitized results. Stages of instances
 without mutual dependencies may overlap; numerics are independent of the
 schedule because each instance owns an RNG stream keyed by (chip_seed,
-instance id).
+salt, instance id).
 
 ``simulated_time`` mode runs the instances in topological order and times
 them with ``perf``'s link model: ``perf.default_timing`` of the pool's
 hardware version gives each instance's stage durations, and
 ``perf.schedule_pipeline`` lays them out on a virtual clock, executions
-serialized per synapse array. ``measured_time`` runs the stages on a thread
-pool (by default min(instances, os.cpu_count()) threads) and records
-wall-clock times. Outputs are bit-identical between modes and worker counts;
-in both, a trace row's bytes are ``perf.CostModel``'s.
+serialized per synapse array. ``measured_time`` runs the stages on worker
+threads (by default min(instances, os.cpu_count()) of them), each taking the
+next instance in topological order, and records wall-clock times. Outputs
+are bit-identical between modes and worker counts; in both, a trace row's
+bytes are ``perf.CostModel``'s.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import io
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,13 +115,16 @@ def global_resources() -> SimulatedChips:
     return _GLOBAL
 
 
-def instance_rng(config: ChipConfig, instance_id: int, salt: int = 0) -> np.random.Generator:
+def instance_rng(config: ChipConfig, instance_id: int, salt: int | tuple = 0) -> np.random.Generator:
     """Temporal-noise stream for one instance; independent of arrival order.
 
-    The salt decorrelates repeated runs of structurally identical graphs
-    (e.g. successive training steps) without touching the chip seed.
+    The salt, an int or a tuple of ints, decorrelates repeated runs of
+    structurally identical graphs (e.g. successive training steps, or the
+    layers of one forward pass) without touching the chip seed. An int salt
+    ``s`` keys the same stream as the tuple ``(s,)``.
     """
-    return np.random.default_rng([config.chip_seed, 7, salt, instance_id])
+    salt = salt if isinstance(salt, tuple) else (salt,)
+    return np.random.default_rng([config.chip_seed, 7, *salt, instance_id])
 
 
 @dataclass
@@ -198,10 +201,10 @@ def _resolve_load(graph: g.DependencyGraph, load: g.Vertex, values: dict) -> np.
 def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
     if v.kind is g.VertexKind.ADD:
         lo, hi = (v.payload or {}).get("clamp", (-128, 127))
-        acc = np.zeros_like(np.asarray(values[v.inputs[0]], dtype=np.int32))
-        for src in v.inputs:
-            acc = acc + np.asarray(values[src], dtype=np.int32)
-        out = np.clip(acc, lo, hi)
+        acc = np.asarray(values[v.inputs[0]]).astype(np.int32)  # the one copy
+        for src in v.inputs[1:]:
+            acc += values[src]
+        out = np.clip(acc, lo, hi, out=acc)
         return out.astype(np.int8) if lo >= -128 and hi <= 127 else out
     if v.kind is g.VertexKind.CONCAT:
         axis = (v.payload or {}).get("axis", 1)
@@ -225,7 +228,7 @@ class Executor:
         self,
         resources: SimulatedChips | None = None,
         workers: int | None = None,
-        seed_salt: int = 0,
+        seed_salt: int | tuple = 0,
     ):
         self.resources = resources if resources is not None else global_resources()
         self.workers = workers
@@ -286,7 +289,7 @@ class Executor:
         return values, costs, perf.schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
 
     def _run_measured(self, graph, deps, order):
-        """Instances on a thread pool; the trace holds wall-clock stage times."""
+        """Instances on worker threads; the trace holds wall-clock stage times."""
         done = {iid: threading.Event() for iid in graph.instances}
         values: dict = {}
         costs: dict = {}
@@ -303,7 +306,7 @@ class Executor:
                     if not done[d].wait(timeout=60.0):
                         raise DeadlockDetected(f"instance {iid} starved waiting for {d}")
                     if d not in costs:
-                        return  # the dependency failed; its own future raises the error
+                        return  # the dependency failed; its own error is raised
                 costs[iid], (pre_s, exec_s, exec_e, post_e) = self._exec_instance(
                     graph, graph.instances[iid], values, lock, clock
                 )
@@ -311,12 +314,30 @@ class Executor:
             finally:
                 done[iid].set()
 
-        # instances are submitted in topological order to a FIFO pool, so every
-        # dependency of a running instance has started: a capped pool cannot starve
+        # threads take instances in topological order, so every dependency of a
+        # running instance has been taken already: capped workers cannot starve
+        jobs = enumerate(order)
+        take = threading.Lock()
+        errors: dict = {}  # topological position -> exception
+
+        def drain():
+            while True:
+                with take:
+                    job = next(jobs, None)
+                if job is None:
+                    return
+                try:
+                    worker(job[1])
+                except BaseException as e:
+                    errors[job[0]] = e
+
         n_workers = self.workers or min(max(len(graph.instances), 1), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(worker, iid) for iid in order]
-            for f in futures:
-                f.result()
+        threads = [threading.Thread(target=drain, name=f"anamac-worker-{i}") for i in range(n_workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[min(errors)]
         return values, costs, times
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class ForwardContext:
     noise_lsb: float = 0.0  # software-model Gaussian output noise, output LSB, drawn by chip.gaussian_noise
     rng: np.random.Generator | None = None  # required when noise_lsb > 0
     seed_salt: int = 0  # decorrelates chip temporal noise across steps
+    # chip matmuls run so far; each keys its noise by (seed_salt, its number)
+    chip_runs: int = field(default=0, init=False, repr=False)
 
 
 def quant_spec(x, w, gain: float) -> QuantSpec:
@@ -117,7 +119,9 @@ def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
         # None: one global pool, so the fixed pattern persists across calls
         resources = ctx.resources if ctx.resources is not None else global_resources()
         hw_params = getattr(layer, "hw_params", None)
-        y, _ = _chip_matmul(xq, wq, spec, resources, hw_params, "simulated_time", ctx.seed_salt)
+        salt = (ctx.seed_salt, ctx.chip_runs)  # no two runs of one context share a noise key
+        ctx.chip_runs += 1
+        y, _ = _chip_matmul(xq, wq, spec, resources, hw_params, "simulated_time", salt)
         return y
     if ctx.backend != "software":
         raise ValueError(f"unknown backend {ctx.backend!r}")

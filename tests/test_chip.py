@@ -152,6 +152,21 @@ def test_configure_rejects_bad_weights():
         array.configure(negative)
 
 
+def test_weights_render_the_configured_block_as_int8():
+    array = SynapseArray(NOISELESS, 0)
+    assert (array.weights.shape, array.weights.dtype) == ((ROWS, COLS), np.int8)
+    assert not array.weights.any()
+    block = np.random.default_rng(8).integers(-63, 64, size=(5, 7)).astype(np.int16)
+    array.configure(block, signed=True)
+    w = array.weights
+    assert (w.shape, w.dtype) == ((ROWS, COLS), np.int8)
+    assert np.array_equal(w[:5, :7], block) and not w[5:].any() and not w[:, 7:].any()
+    w[:] = 1  # a rendered copy: writing to it configures nothing
+    assert np.array_equal(array.weights[:5, :7], block)
+    y = array.mac(np.ones((1, 5), dtype=np.uint8), HwParams(), np.random.default_rng(0))
+    assert np.array_equal(y[0, :7], np.clip(block.sum(axis=0), -128, 127))
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -324,6 +339,28 @@ def test_table_noise_is_standard_normal_by_kolmogorov_smirnov():
     above = np.cumsum(counts) / values.size  # the empirical cdf at each level
     below = above - counts / values.size  # and just below it
     assert max(np.abs(above - cdf).max(), np.abs(below - cdf).max()) < 2e-3
+
+
+@pytest.mark.parametrize("shape", [16, 17, 18, 19, (7, 12), (5, 13), (3, 2, 3), (1, 7), 0, (0, 4)], ids=str)
+def test_noise_indices_equal_the_uint16_draw_of_a_fresh_generator(shape):
+    """One 64-bit word per four indices repeats numpy's uint16 draw, for every size mod 4."""
+    noise = gaussian_noise(np.random.default_rng(31), shape, 1.0)
+    index = np.random.default_rng(31).integers(0, 2**16, shape, dtype=np.uint16)
+    assert noise.shape == index.shape and noise.dtype == np.float32
+    assert noise.tobytes() == noise_table()[index].tobytes()
+
+
+@pytest.mark.parametrize("first", range(8))
+def test_noise_indices_on_a_reused_generator(first):
+    """After an earlier uint16 draw of size 1 or 2 (mod 4), numpy keeps half a
+    word buffered for its next uint16 draw, while the word draw skips it; after
+    any other size the two stay equal."""
+    words, halves = np.random.default_rng(32), np.random.default_rng(32)
+    for rng in (words, halves):
+        rng.integers(0, 2**16, first, dtype=np.uint16)
+    noise = gaussian_noise(words, 64, 1.0)
+    same = noise.tobytes() == noise_table()[halves.integers(0, 2**16, 64, dtype=np.uint16)].tobytes()
+    assert same == (first % 4 in (0, 3))
 
 
 def test_num_sends_reduces_temporal_noise():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 from click.testing import CliRunner
 
+from anamac.chip import load_chip_config
 from anamac.cli import main
 from anamac.executor import SimulatedChips
 from anamac.train import ForwardContext, matmul_forward
@@ -33,7 +34,11 @@ def test_matmul_command(tmp_path):
 
 
 def test_matmul_command_equals_chip_forward(tmp_path):
-    """The CLI and the chip backend of a layer run the same quantized pipeline."""
+    """The CLI and the chip backend of a layer run the same quantized pipeline.
+
+    Temporal noise is off: a layer's chip run keys it by its forward context's
+    run number as well, so the two draw different streams. The fixed pattern
+    and the neuron offsets stay on."""
     from test_train import _Bare
 
     rng = np.random.default_rng(1)
@@ -41,15 +46,18 @@ def test_matmul_command_equals_chip_forward(tmp_path):
     w = rng.uniform(-1, 1, size=(300, 40)).astype(np.float32)
     write_tensor(tensor(x), tmp_path / "x.tns")
     write_tensor(tensor(w), tmp_path / "w.tns")
+    (tmp_path / "chip.cfg").write_text("sigma_temporal = 0\n")
     result = CliRunner().invoke(
         main,
         ["matmul", "--inputs", str(tmp_path / "x.tns"), "--weights", str(tmp_path / "w.tns"),
-         "--out", str(tmp_path / "y.tns")],
+         "--out", str(tmp_path / "y.tns"), "--chip-config", str(tmp_path / "chip.cfg")],
     )
     assert result.exit_code == 0, result.output
     assert result.output.startswith("ran 3 tile(s) on 1 chip(s)")
     y_cli = read_tensor(tmp_path / "y.tns").array
-    y_layer, _ = matmul_forward(x, _Bare(w), ForwardContext(backend="chip", resources=SimulatedChips(1)))
+    resources = SimulatedChips(1, load_chip_config(tmp_path / "chip.cfg"))
+    assert resources.config.sigma_temporal == 0 and resources.config.sigma_fixed > 0
+    y_layer, _ = matmul_forward(x, _Bare(w), ForwardContext(backend="chip", resources=resources))
     assert y_cli.dtype == y_layer.dtype == np.float32
     assert y_cli.tobytes() == y_layer.tobytes()
 

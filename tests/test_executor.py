@@ -1,4 +1,6 @@
+import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -379,25 +381,68 @@ def test_ownership_log_is_bounded_and_keeps_pairs():
         assert log[i][1] == log[i + 1][1]
 
 
+def _record_thread_starts(monkeypatch) -> list:
+    """Names of the threads started from now on, in start order."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
 def test_measured_pool_defaults_to_cpu_count(monkeypatch):
-    """The default pool is capped at os.cpu_count(), not one thread per instance."""
-    real_pool = executor.ThreadPoolExecutor
-    sizes = []
-
-    def recording_pool(max_workers):
-        sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(executor, "ThreadPoolExecutor", recording_pool)
+    """The default worker count is capped at os.cpu_count(), not one thread per instance."""
+    started = _record_thread_starts(monkeypatch)
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 2)
     rng = np.random.default_rng(6)
     res = SimulatedChips(1, NOISY)
     graph, _, _ = _simple_graph(rng, n=SIGNED_ROWS * 8, m=1000, batch=2)
     assert len(graph.instances) >= 32
     (measured,) = Executor(res).run(graph, mode="measured_time")[0].values()
+    assert len(started) == 2
     (simulated,) = Executor(res).run(graph)[0].values()
-    assert sizes == [2]
+    assert len(started) == 2  # simulated_time starts no thread
     assert np.array_equal(measured, simulated)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_measured_run_starts_the_requested_workers(monkeypatch, workers):
+    started = _record_thread_starts(monkeypatch)
+    graph, _, _ = _simple_graph(np.random.default_rng(7))
+    Executor(SimulatedChips(1, NOISY), workers=workers).run(graph, mode="measured_time")
+    assert len(started) == workers
+
+
+def test_earliest_failure_in_topological_order_is_raised(monkeypatch):
+    """Two independent instances fail; the error raised is the one earlier in
+    topological order, although the later one fails first in wall-clock time."""
+    b = g.GraphBuilder()
+    one = np.array([[1]], dtype=np.uint8)
+    for weights, binding in ((np.array([[64]], dtype=np.int16), (0, 0)), (np.array([[-1]], dtype=np.int8), (0, 1))):
+        b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(_chain(b, weights, data=one, binding=binding),))
+    graph = b.build()
+    first, second = g._toposort(graph.instance_dependencies())
+    assert graph.instances[first].array_binding == (0, 0)
+    real_configure = chip.SynapseArray.configure
+
+    def configure(array, block, signed=False):
+        if array.array_index == 0:  # the earlier instance fails last
+            time.sleep(0.1)
+        return real_configure(array, block, signed)
+
+    monkeypatch.setattr(chip.SynapseArray, "configure", configure)
+    with pytest.raises(WeightOutOfRange, match=r"^weights must lie in \[-63, 63\]"):
+        Executor(SimulatedChips(1, NOISELESS), workers=2).run(graph, mode="measured_time")
+
+
+def test_importing_the_package_leaves_out_concurrent_futures():
+    code = "import sys, anamac; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_failing_default_timing_surfaces(monkeypatch):

@@ -1,9 +1,11 @@
+import copy
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from anamac import executor
 from anamac.chip import ChipConfig, noise_table
 from anamac.executor import SimulatedChips, global_resources, reset_resources
 from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
@@ -25,6 +27,7 @@ from anamac.train import (
     _integer_product,
     confusion_matrix,
     cross_entropy_grad,
+    evaluate,
     har_model,
     load_checkpoint,
     load_har,
@@ -427,6 +430,49 @@ def test_metrics_csv_layout():
     metrics = [{"epoch": 1, "train_accuracy": 0.5, "test_accuracy": 0.25}]
     text = metrics_to_csv(metrics)
     assert text.splitlines() == ["epoch,split,accuracy", "1,train,0.5", "1,test,0.25"]
+
+
+def test_layers_of_one_chip_forward_draw_different_noise_streams(monkeypatch):
+    """The first tiles of the conv, dense1 and dense2 (all instance 0) read different index streams."""
+    real_rng = executor.instance_rng
+    first_tiles = []
+
+    def recording_rng(config, instance_id, salt=0):
+        rng = real_rng(config, instance_id, salt)
+        if instance_id == 0:
+            probe = copy.deepcopy(rng).integers(0, 2**16, 64, dtype=np.uint16)
+            first_tiles.append((salt, probe.tobytes()))
+        return rng
+
+    monkeypatch.setattr(executor, "instance_rng", recording_rng)
+    model = har_model(np.random.default_rng(3))
+    x = np.random.default_rng(5).standard_normal((4, 9, 128)).astype(np.float32)
+    model.forward(x, ForwardContext(backend="chip", resources=SimulatedChips(1), seed_salt=7))
+    assert [salt for salt, _ in first_tiles] == [(7, 0), (7, 1), (7, 2)]
+    assert len({stream for _, stream in first_tiles}) == 3
+
+
+def test_evaluate_draws_fresh_temporal_noise_for_a_repeated_batch():
+    """A batch given twice through one context: only temporal noise tells the two copies apart."""
+    rng = np.random.default_rng(4)
+    model = Sequential([DenseLayer(8, 16, rng), ReLU(), DenseLayer(16, 4, rng)])
+    batch = np.abs(rng.standard_normal((32, 8))).astype(np.float32)
+    x, labels = np.concatenate([batch, batch]), np.zeros(64, dtype=np.int64)
+    logits = []
+    real_forward = model.forward
+
+    def recording_forward(xb, ctx):
+        logits.append(real_forward(xb, ctx))
+        return logits[-1]
+
+    model.forward = recording_forward
+    for sigma_temporal in (2.0, 0.0):
+        config = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=sigma_temporal)
+        ctx = ForwardContext(backend="chip", resources=SimulatedChips(1, config), seed_salt=1)
+        logits.clear()
+        evaluate(model, x, labels, ctx, batch_size=32)
+        assert len(logits) == 2
+        assert np.array_equal(logits[0], logits[1]) == (sigma_temporal == 0.0)
 
 
 # -- training loop --------------------------------------------------------------
