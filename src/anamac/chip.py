@@ -8,21 +8,23 @@ neurons. The analog path is modeled as an exact integer product distorted by
   * additive temporal noise per run, scaled down by sqrt(num_sends).
 
 The temporal noise is drawn from a table of 2**16 Gaussian quantiles, one
-uniform uint16 index per value (``gaussian_noise``), four indices to each
-64-bit word of the generator. Its range is the end quantiles, +-4.32 sigma. The
-draw is integer work plus one table read, so the noisy bit-stream does not
+uniform uint16 index per value (``gaussian_noise``), four indices to each raw
+64-bit word of the generator. Its range is the end quantiles, +-4.32 sigma.
+The draw is integer work plus one table read, so the noisy bit-stream does not
 depend on the host CPU's SIMD path, and it costs a fraction of a float32
 ``standard_normal``. The fixed pattern is drawn once per array with
-``standard_normal``.
+``standard_normal`` and is read-only; the array also keeps contiguous copies
+of its even and odd rows, the gains of the signed row pairs.
 
 Signed weights occupy excitatory/inhibitory row pairs; the array maps a signed
 block onto its pairs itself. A configured block is kept as float32, the type
-the analog chain multiplies in. The analog chain runs in float32: its noise is
-at least 0.8 LSB and its output an 8-bit code, so float64 would show nowhere. With
-all sigmas at zero the model still collapses to the exact saturating integer
-matmul, which the oracle tests rely on: every partial sum of a block is an
-integer of at most 256 * 31 * 63 < 2**24, so the float32 product is exact, and
-a power-of-two gain scales it exactly.
+the analog chain multiplies in. The ADC, ``quant.digitise``, rounds the
+analog buffer in place into the int8 result. The analog chain runs in float32:
+its noise is at least 0.8 LSB and its output an 8-bit code, so float64 would
+show nowhere. With all sigmas at zero the model still collapses to the exact
+saturating integer matmul, which the oracle tests rely on: every partial sum of
+a block is an integer of at most 256 * 31 * 63 < 2**24, so the float32 product
+is exact, and a power-of-two gain scales it exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quant import INPUT_MAX, OUTPUT_MAX, OUTPUT_MIN, WEIGHT_MAX, to_fixed
+from .quant import INPUT_MAX, WEIGHT_MAX, digitise
 
 ROWS = 256
 COLS = 256
@@ -150,15 +152,17 @@ def noise_table() -> np.ndarray:
 def gaussian_noise(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
     """float32 N(0, sigma**2) noise of ``shape``: ``sigma`` times uniformly drawn table levels.
 
-    Each 64-bit word of ``rng`` gives four uint16 indices, low half first. On a
-    fresh generator the indices equal ``rng.integers(0, 2**16, shape,
+    The words come from ``rng.bit_generator.random_raw``, which for PCG64
+    equals ``rng.integers(0, 2**64, k, dtype=np.uint64)`` word for word, on a
+    reused generator too. Each word gives four uint16 indices, low half first.
+    On a fresh generator the indices equal ``rng.integers(0, 2**16, shape,
     dtype=np.uint16)`` byte for byte, since numpy splits each word the same
     way. They differ on a generator reused after a draw that left half a word
     in its buffer: an earlier uint16 draw whose size is 1 or 2 (mod 4), or
     any other draw that used 32 bits of a word.
     """
     n = math.prod(shape) if np.iterable(shape) else int(shape)
-    words = rng.integers(0, 2**64, -(-n // 4), dtype=np.uint64)
+    words = rng.bit_generator.random_raw(-(-n // 4))
     index = words.astype("<u8", copy=False).view("<u2")[:n].reshape(shape)
     noise = noise_table().take(index, mode="wrap")  # every uint16 is a level: nothing wraps
     noise *= np.float32(sigma)
@@ -183,6 +187,13 @@ class SynapseArray:
         self.fixed_gain = (
             1.0 + config.sigma_fixed * gain_rng.standard_normal((ROWS, COLS))
         ).astype(np.float32)
+        self.fixed_gain.setflags(write=False)
+        # contiguous copies of the excitatory (even) and inhibitory (odd) rows
+        # for the signed fold; read-only like fixed_gain, so they stay equal to it
+        self.gain_even = np.ascontiguousarray(self.fixed_gain[0::2])
+        self.gain_odd = np.ascontiguousarray(self.fixed_gain[1::2])
+        self.gain_even.setflags(write=False)
+        self.gain_odd.setflags(write=False)
         self.neuron_offset = (
             config.sigma_offset * offs_rng.standard_normal(COLS)
         ).astype(np.float32)
@@ -254,15 +265,14 @@ class SynapseArray:
 
         rows, cols = self.rows, self.cols
         w = self._block
-        gain = self.fixed_gain[:, :cols]
-        if self.signed:  # in place on float32: the fewest temporaries
+        if self.signed:  # in place on float32 and contiguous gains: the fewest passes
             effective = np.maximum(w, 0.0)
-            effective *= gain[0 : 2 * rows : 2]
+            effective *= self.gain_even[:rows, :cols]
             negative = np.minimum(w, 0.0)
-            negative *= gain[1 : 2 * rows : 2]
+            negative *= self.gain_odd[:rows, :cols]
             effective += negative
         else:
-            effective = w * gain[:rows]
+            effective = w * self.fixed_gain[:rows, :cols]
         analog = x2.astype(np.float32) @ effective
         analog *= np.float32(self.config.gain)
         analog += self.neuron_offset[:cols]
@@ -270,7 +280,7 @@ class SynapseArray:
         if sigma > 0:
             analog += gaussian_noise(rng, analog.shape, sigma)
         out = np.zeros((x2.shape[0], COLS), dtype=np.int8)
-        out[:, :cols] = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
+        digitise(analog, out[:, :cols])
         return out[0] if single else out
 
     def acquire(self, holder) -> None:

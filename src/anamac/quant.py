@@ -9,6 +9,11 @@ operands): float32 operands divide by the scale and round in float32. With 5-
 to 8-bit codes, float32 and float64 give different codes only for values
 within rounding error of a half-step. The scale is taken in the same type, and
 one that rounds to 0 or infinity there raises ``ValueError``.
+
+The quantizers and ``to_fixed`` convert in cache-sized blocks and never write
+their operand. The ADC of both the chip and the software model is
+``digitise``: it clips the analog buffer in place and stores the codes straight
+into the output, with the same rounding step as ``to_fixed``.
 """
 
 from __future__ import annotations
@@ -100,23 +105,47 @@ def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarra
                 np.clip(r, lo, hi, out=r)
             else:
                 np.clip(src, lo, hi, out=r, dtype=r.dtype)
-            neg = np.less(r, 0, out=mask[:k]) if lo < 0 else None
-            np.add(r, 0.5, out=r)
-            if neg is not None:
-                np.subtract(r, neg, out=r)
-            dst[...] = r  # truncates
+            _store_rounded(r, dst, mask[:k] if lo < 0 else None)
     return out
+
+
+def _store_rounded(r: np.ndarray, dst: np.ndarray, mask) -> None:
+    """Store ``r``, already clipped to integer rails, rounded half away from zero into ``dst``.
+
+    Adds 0.5 to ``r`` in place, subtracts 1 where ``r`` was negative (``mask``
+    holds that test; None when the rails are not below 0) and lets the integer
+    store truncate. The one rounding step of every float-to-fixed conversion.
+    """
+    neg = np.less(r, 0, out=mask) if mask is not None else None
+    np.add(r, 0.5, out=r)
+    if neg is not None:
+        np.subtract(r, neg, out=r)
+    dst[...] = r  # truncates
 
 
 def to_fixed(values, lo, hi, dtype) -> np.ndarray:
     """Round half away from zero, clamp to [lo, hi], cast to ``dtype``.
 
-    The one float-to-fixed-point conversion: inputs, weights and both ADC
-    models digitise through it. It runs in the operand's float type (float64
-    for integer operands), in which it equals ``round_half_away``, clip and
-    cast byte for byte. ``values`` is never written to.
+    The float-to-fixed-point conversion of the quantizers. It runs in the
+    operand's float type (float64 for integer operands), in which it equals
+    ``round_half_away``, clip and cast byte for byte. ``values`` is never
+    written to; the ADC models use ``digitise``, which rounds the same way
+    in their own buffer.
     """
     return _to_fixed_blocks(np.asarray(values), lo, hi, dtype)
+
+
+def digitise(analog: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The ADC: the output codes of the float buffer ``analog``, written into the int8 ``out``.
+
+    Equals ``to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)`` byte for
+    byte, in ``analog``'s own float type, but clips ``analog`` in place and
+    stores the codes straight into ``out``, which may be a strided view of the
+    same shape. Allocates only a bool mask; returns ``out``.
+    """
+    np.clip(analog, OUTPUT_MIN, OUTPUT_MAX, out=analog)
+    _store_rounded(analog, out, np.empty(analog.shape, np.bool_))
+    return out
 
 
 def quantize_inputs(x, spec: QuantSpec) -> np.ndarray:

@@ -23,15 +23,13 @@ from .executor import Executor, SimulatedChips, global_resources
 from .partition import build_graph, partition_matmul
 from .quant import (
     INPUT_MAX,
-    OUTPUT_MAX,
-    OUTPUT_MIN,
     WEIGHT_MAX,
     QuantSpec,
     dequantize_outputs,
+    digitise,
     input_scale_for,
     quantize_inputs,
     quantize_weights,
-    to_fixed,
     weight_scale_for,
 )
 from .tensor import read_tensor, tensor, write_tensor
@@ -130,8 +128,7 @@ def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
         if ctx.rng is None:
             raise ValueError("software noise (noise_lsb > 0) needs a seeded ForwardContext.rng")
         analog += gaussian_noise(ctx.rng, analog.shape, ctx.noise_lsb)
-    y8 = to_fixed(analog, OUTPUT_MIN, OUTPUT_MAX, np.int8)
-    return dequantize_outputs(y8, spec)
+    return dequantize_outputs(digitise(analog, np.empty(analog.shape, np.int8)), spec)
 
 
 def _integer_product(xq, wq) -> np.ndarray:

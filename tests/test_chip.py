@@ -105,6 +105,17 @@ def test_analog_state_is_float32_from_the_float64_draws():
     assert np.array_equal(array.neuron_offset, offset64.astype(np.float32))
 
 
+def test_fixed_gain_is_read_only_and_its_row_planes_equal_it():
+    array = SynapseArray(ChipConfig(chip_seed=5), 1)
+    with pytest.raises(ValueError, match="read-only"):
+        array.fixed_gain[0, 0] = 2.0
+    for plane, rows in ((array.gain_even, array.fixed_gain[0::2]), (array.gain_odd, array.fixed_gain[1::2])):
+        assert plane.flags.c_contiguous and plane.dtype == np.float32
+        assert plane.tobytes() == np.ascontiguousarray(rows).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            plane[0, 0] = 2.0
+
+
 def test_signed_mac_peak_allocation():
     """One noisy (256, 128) x (128, 256) signed MAC after a warm-up.
 
@@ -466,3 +477,27 @@ def test_load_chip_config_packaged_and_file(tmp_path):
     assert custom.sigma_temporal == 0.5
     assert custom.gain == 0.5
     assert custom.sigma_fixed == ChipConfig().sigma_fixed  # defaults kept
+
+
+_EARLIER_DRAWS = {  # the uint16 draws of size 1 or 2 (mod 4) and the uint32 one leave half a word buffered
+    "fresh": lambda rng: None,
+    "uint16x5": lambda rng: rng.integers(0, 2**16, 5, dtype=np.uint16),
+    "uint16x6": lambda rng: rng.integers(0, 2**16, 6, dtype=np.uint16),
+    "uint32x3": lambda rng: rng.integers(0, 2**32, 3, dtype=np.uint32),
+    "bool7": lambda rng: rng.integers(0, 2, 7, dtype=np.bool_),
+    "permutation17": lambda rng: rng.permutation(17),
+}
+
+
+@pytest.mark.parametrize("before", list(_EARLIER_DRAWS))
+def test_raw_words_equal_the_full_range_uint64_draw(before):
+    """``random_raw``, the noise's word source, repeats ``integers(0, 2**64, k,
+    uint64)`` word for word and leaves the same state, on fresh and reused generators."""
+    raw, drawn = np.random.default_rng(33), np.random.default_rng(33)
+    for rng in (raw, drawn):
+        _EARLIER_DRAWS[before](rng)
+    for k in (1, 11, 1024):
+        words = raw.bit_generator.random_raw(k)
+        assert words.dtype == np.uint64
+        assert words.tobytes() == drawn.integers(0, 2**64, k, dtype=np.uint64).tobytes()
+        assert raw.bit_generator.state == drawn.bit_generator.state

@@ -16,6 +16,7 @@ from anamac.quant import (
     NonFiniteInput,
     QuantSpec,
     dequantize_outputs,
+    digitise,
     input_scale_for,
     quantize_inputs,
     quantize_weights,
@@ -120,6 +121,27 @@ def test_to_fixed_chain_edges(fmt, arg_dtype):
     v = _argument(np.concatenate([_CHAIN_EDGES, [np.inf, -np.inf]]), None, arg_dtype)
     expected = np.clip(round_half_away(v), lo, hi).astype(dtype)
     assert to_fixed(v, lo, hi, dtype).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
+    st.sampled_from([np.float64, np.float32]),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_digitise_is_the_adc_to_fixed(values, arg_dtype, rows, strided):
+    """Ties from -129.5 to 129.5, +-0, +-inf and both rails, into a contiguous or a strided ``out``."""
+    v = _argument(np.array(values + list(_CHAIN_EDGES) + [np.inf, -np.inf]), None, arg_dtype)
+    a = np.resize(v, (rows, v.size))
+    expected = to_fixed(a, OUTPUT_MIN, OUTPUT_MAX, np.int8)
+    assert expected.tobytes() == np.clip(round_half_away(a), OUTPUT_MIN, OUTPUT_MAX).astype(np.int8).tobytes()
+    full = np.full((rows, a.shape[1] + 3), 99, np.int8)
+    out = full[:, 1 : a.shape[1] + 1] if strided else np.empty(a.shape, np.int8)
+    assert digitise(a.copy(), out) is out
+    assert out.tobytes() == expected.tobytes()
+    if strided:  # the columns around the view are not written
+        assert (full[:, 0] == 99).all() and (full[:, a.shape[1] + 1 :] == 99).all()
 
 
 def _reference_quantize(a, scale, lo, hi, dtype):
