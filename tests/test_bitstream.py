@@ -1,17 +1,20 @@
-"""Golden SHA-256 prefixes of the noisy numerics.
+"""Golden SHA-256 prefixes of the noisy numerics and of the link model's sweeps.
 
 The noisy values depend on the BLAS library's summation order (OpenBLAS on
 x86-64 here), so another BLAS build may move them without any program change.
-A change that moves them on purpose updates the golden values in the same
-diff and records the old and new values in CHANGES.md.
+The sweep CSVs are plain float arithmetic and do not. A change that moves
+any of them on purpose updates the golden values in the same diff and records
+the old and new values in CHANGES.md.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from anamac.chip import noise_table
+from anamac.cli import main
 from anamac.executor import SimulatedChips
 from anamac.train import ForwardContext, cross_entropy_grad, har_model, quantized_matmul
 
@@ -69,3 +72,22 @@ def test_har_steps_bitstream():
     assert _har_logits(backend="software") == "d11d015cff01fa0f", BLAS_NOTE
     noisy = _har_logits(backend="software", noise_lsb=2, rng=np.random.default_rng(9))
     assert noisy == "1f914eb53fbdc755", BLAS_NOTE
+
+
+# `anamac bench` with the default --values: (size CSV, batch CSV, --utilization CSV)
+SWEEP_GOLDENS = {
+    "v1_1gbe": ("1cd7d1365d0715d3", "3d0ff95be58b499e", "a063ef7172e229af"),
+    "v2_1gbe": ("f339ad15e0651df2", "3df8f569dca61edf", "cc1c388f542cdd63"),
+    "sim_8g": ("74934f9e717494a2", "1d68a34fff126308", "fb669000006c2cb9"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SWEEP_GOLDENS))
+def test_bench_sweep_bytes(scenario, tmp_path):
+    for sweep, extra in (("size", ["--utilization", str(tmp_path / "util.csv")]), ("batch", [])):
+        out = ["--out", str(tmp_path / f"{sweep}.csv")]
+        result = CliRunner().invoke(main, ["bench", "--scenario", scenario, "--sweep", sweep, *out, *extra])
+        assert result.exit_code == 0, result.output
+    files = ("size.csv", "batch.csv", "util.csv")
+    digests = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()[:16] for n in files)
+    assert digests == SWEEP_GOLDENS[scenario]
