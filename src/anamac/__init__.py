@@ -20,7 +20,6 @@ from .chip import (
 )
 from .executor import (
     Executor,
-    RunTrace,
     SimulatedChips,
     acquire_chips,
     configure_resources,
@@ -40,6 +39,7 @@ from .partition import PartitionPlan, TileSpec, build_graph, partition_matmul
 from .perf import (
     CostModel,
     LinkBudget,
+    RunTrace,
     load_link_config,
     mac_rate,
     mac_rate_curve,

@@ -8,11 +8,11 @@ without mutual dependencies may overlap; numerics are independent of the
 schedule because each instance owns an RNG stream keyed by (chip_seed,
 salt, instance id).
 
-``simulated_time`` mode runs the instances in topological order and times
-them with ``perf``'s link model: ``perf.default_timing`` of the pool's
-hardware version gives each instance's stage durations, and
-``perf.schedule_pipeline`` lays them out on a virtual clock, executions
-serialized per synapse array. ``measured_time`` runs the stages on worker
+``simulated_time`` mode runs the instances in topological order and hands
+their costs and bindings to ``perf.simulate`` with ``perf.default_timing``
+of the pool's hardware version: the one simulated clock, which the
+throughput sweeps use too and which serializes executions per chip, whose
+arrays share one link. ``measured_time`` runs the stages on worker
 threads (by default min(instances, os.cpu_count()) of them), each taking the
 next instance in topological order, and records wall-clock times. Outputs
 are bit-identical between modes and worker counts; in both, a trace row's
@@ -21,12 +21,9 @@ bytes are ``perf.CostModel``'s.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,39 +124,6 @@ def instance_rng(config: ChipConfig, instance_id: int, salt: int | tuple = 0) ->
     return np.random.default_rng([config.chip_seed, 7, *salt, instance_id])
 
 
-@dataclass
-class TraceRow:
-    instance: int
-    times: perf.StageTimes
-    bytes: tuple  # (pre, exec, post): perf.CostModel.stage_bytes
-
-
-@dataclass
-class RunTrace:
-    rows: list = field(default_factory=list)
-
-    @property
-    def makespan(self) -> float:
-        return max((r.times.post_end for r in self.rows), default=0.0)
-
-    @property
-    def utilization(self) -> float:
-        total_exec = sum(r.times.exec_end - r.times.exec_start for r in self.rows)
-        span = self.makespan
-        return total_exec / span if span > 0 else 0.0
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["instance", "stage", "t_start", "t_end", "bytes"])
-        for r in sorted(self.rows, key=lambda r: r.instance):
-            t, (pre, exec_, post) = r.times, r.bytes
-            writer.writerow([r.instance, "pre", repr(t.pre_start), repr(t.pre_end), pre])
-            writer.writerow([r.instance, "exec", repr(t.exec_start), repr(t.exec_end), exec_])
-            writer.writerow([r.instance, "post", repr(t.post_start), repr(t.post_end), post])
-        return buf.getvalue()
-
-
 def _instance_parts(graph: g.DependencyGraph, inst: g.ExecutionInstance):
     load = matrix = None
     for vid in inst.vertex_ids:
@@ -214,15 +178,6 @@ def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
     raise g.KindMismatch(f"unexpected digital vertex kind {v.kind}")
 
 
-def _finish(graph, values: dict, costs: dict, times: dict, model: perf.CostModel) -> tuple:
-    """Digital vertices, outputs and trace once every instance has stored."""
-    for vid, v in graph.vertices.items():
-        if v.kind in g.DIGITAL_KINDS:  # every one, so an unused vertex's error surfaces too
-            _vertex_value(graph, vid, values)
-    outputs = {vid: values[vid] for vid in graph.outputs()}
-    return outputs, RunTrace([TraceRow(iid, times[iid], model.stage_bytes(c)) for iid, c in costs.items()])
-
-
 class Executor:
     def __init__(
         self,
@@ -244,10 +199,13 @@ class Executor:
         deps = graph.instance_dependencies()
         order = g._toposort(deps)  # the one instance analysis of this run
         if mode == "simulated_time":
-            values, costs, times = self._run_simulated(graph, deps, order, force_serial)
+            values, trace = self._run_simulated(graph, deps, order, force_serial)
         else:
-            values, costs, times = self._run_measured(graph, deps, order)
-        return _finish(graph, values, costs, times, perf.CostModel(self.resources.config.hw_version))
+            values, trace = self._run_measured(graph, deps, order)
+        for vid, v in graph.vertices.items():
+            if v.kind in g.DIGITAL_KINDS:  # every one, so an unused vertex's error surfaces too
+                _vertex_value(graph, vid, values)
+        return {vid: values[vid] for vid in graph.outputs()}, trace
 
     def _exec_instance(self, graph, inst, values, lock, clock):
         """Run one instance; ``lock`` guards ``values``, ``clock`` stamps the stages.
@@ -277,16 +235,15 @@ class Executor:
         return cost, (pre_s, exec_s, exec_e, clock())
 
     def _run_simulated(self, graph, deps, order, force_serial):
-        """Sequential numerics in topological order, then a virtual-clock schedule."""
+        """Sequential numerics in topological order, then ``perf.simulate``'s virtual clock."""
         values: dict = {}
-        costs: dict = {}
+        costs: dict = {}  # in topological order
         lock = threading.Lock()
         for iid in order:
             costs[iid], _ = self._exec_instance(graph, graph.instances[iid], values, lock, time.perf_counter)
+        bindings = {iid: graph.instances[iid].array_binding for iid in costs}
         timing = perf.default_timing(self.resources.config.hw_version)
-        durations = {iid: timing.durations(c) for iid, c in costs.items()}  # in topological order
-        resource_of = {iid: graph.instances[iid].array_binding for iid in costs}
-        return values, costs, perf.schedule_pipeline(durations, resource_of, deps, self.workers, force_serial)
+        return values, perf.simulate(costs, bindings, deps, timing, self.workers, force_serial)
 
     def _run_measured(self, graph, deps, order):
         """Instances on worker threads; the trace holds wall-clock stage times."""
@@ -339,5 +296,7 @@ class Executor:
             t.join()
         if errors:
             raise errors[min(errors)]
-        return values, costs, times
+        model = perf.CostModel(self.resources.config.hw_version)
+        rows = [perf.TraceRow(iid, times[iid], model.stage_bytes(c)) for iid, c in costs.items()]
+        return values, perf.RunTrace(rows)
 

@@ -11,8 +11,9 @@ execution is the maximum of the wire time (all traffic over the link) and the
 on-chip event time (inputs are injected as events spaced by
 wait_between_events clock cycles, repeated num_sends times); postprocessing
 is host handling of the response bytes. ``schedule_pipeline`` lays those
-durations out as a pipelined list schedule. The executor's simulated clock
-and the throughput sweeps below both run on these three pieces.
+durations out as a pipelined list schedule. ``simulate`` is the one simulated
+clock, of the executor and the throughput sweeps below alike: a chip's arrays
+share its one link, so executions serialize per chip.
 
 The encoding sizes and the calibration constants (per-run overhead, protocol
 efficiency, clock period) are not hardware truth; they were fitted once
@@ -25,7 +26,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chip import HwParams, _read_kv
 from .partition import partition_matmul
@@ -134,6 +135,39 @@ def schedule_pipeline(
     return schedule
 
 
+@dataclass
+class TraceRow:
+    instance: int
+    times: StageTimes
+    bytes: tuple  # (pre, exec, post): CostModel.stage_bytes
+
+
+@dataclass
+class RunTrace:
+    rows: list = field(default_factory=list)
+
+    @property
+    def makespan(self) -> float:
+        return max((r.times.post_end for r in self.rows), default=0.0)
+
+    @property
+    def utilization(self) -> float:
+        total_exec = sum(r.times.exec_end - r.times.exec_start for r in self.rows)
+        span = self.makespan
+        return total_exec / span if span > 0 else 0.0
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["instance", "stage", "t_start", "t_end", "bytes"])
+        for r in sorted(self.rows, key=lambda r: r.instance):
+            t, (pre, exec_, post) = r.times, r.bytes
+            writer.writerow([r.instance, "pre", repr(t.pre_start), repr(t.pre_end), pre])
+            writer.writerow([r.instance, "exec", repr(t.exec_start), repr(t.exec_end), exec_])
+            writer.writerow([r.instance, "post", repr(t.post_start), repr(t.post_end), post])
+        return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     bandwidth_bps: float
@@ -189,6 +223,20 @@ class CostTiming:
         return pre, exec_, link.host_byte_time_s * response
 
 
+def simulate(
+    costs: dict, bindings: dict, deps: dict, timing: CostTiming, workers: int | None = None, force_serial: bool = False
+) -> RunTrace:
+    """The simulated clock: chip runs timed by ``timing`` and scheduled, executions serialized per chip.
+
+    costs: id -> InstanceCost, listed in a topological order; bindings: id ->
+    (chip, array); deps, workers and force_serial as in ``schedule_pipeline``.
+    """
+    durations = {iid: timing.durations(c) for iid, c in costs.items()}
+    chip_of = {iid: bindings[iid][0] for iid in costs}  # the chip's one link
+    schedule = schedule_pipeline(durations, chip_of, deps, workers, force_serial)
+    return RunTrace([TraceRow(iid, schedule[iid], timing.cost.stage_bytes(c)) for iid, c in costs.items()])
+
+
 @functools.cache
 def default_timing(hw_version: str) -> CostTiming:
     """The frozen link_8g model for a chip version, read and parsed once per process and version."""
@@ -207,30 +255,22 @@ SWEEP_BATCH = 2000  # fixed batch for the size sweep
 SWEEP_SIZE = 256  # fixed square size for the batch sweep
 
 
-def _tile_schedule(n: int, m: int, batch: int, scenario: str):
-    """Pipelined schedule of all tiles of an n x m matmul (unsigned weights).
-
-    Tile executions serialize per chip (the link is shared per chip); pre and
-    postprocessing of independent tiles overlap freely.
-    """
+def _sweep_tiles(n: int, m: int, batch: int, scenario: str) -> tuple:
+    """(timing, costs, bindings) of the tiles of an n x m matmul (unsigned weights) on one chip."""
     link_name, hw_version, params = SCENARIOS[scenario]
     timing = CostTiming(load_link_config(link_name), CostModel(hw_version))
-    plan = partition_matmul(n, m, signed=False, arrays=[(0, 0), (0, 1)])
-    durations = {}
-    resource_of = {}
-    for idx, tile in enumerate(plan.tiles):
-        durations[idx] = timing.durations(InstanceCost(tile.rows, tile.cols, batch, params))
-        resource_of[idx] = tile.array_binding[0]  # serialize per chip link
-    return schedule_pipeline(durations, resource_of, {}), durations
+    tiles = partition_matmul(n, m, signed=False, arrays=[(0, 0), (0, 1)]).tiles
+    costs = {idx: InstanceCost(t.rows, t.cols, batch, params) for idx, t in enumerate(tiles)}
+    return timing, costs, {idx: t.array_binding for idx, t in enumerate(tiles)}
 
 
-def _makespan(schedule: dict) -> float:
-    return max(t.post_end for t in schedule.values())
+def _sweep_trace(n: int, m: int, batch: int, scenario: str) -> RunTrace:
+    timing, costs, bindings = _sweep_tiles(n, m, batch, scenario)
+    return simulate(costs, bindings, {}, timing)
 
 
 def mac_rate(n: int, m: int, batch: int, scenario: str) -> float:
-    schedule, _ = _tile_schedule(n, m, batch, scenario)
-    return batch * n * m / _makespan(schedule)
+    return batch * n * m / _sweep_trace(n, m, batch, scenario).makespan
 
 
 def mac_rate_curve(values, scenario: str, sweep: str = "size") -> list:
@@ -265,18 +305,15 @@ def utilization_breakdown(sizes, scenario: str, batch: int = SWEEP_BATCH) -> lis
     """Rows of (size, t_pre, t_exec, t_post): per-stage totals over all tiles."""
     rows = []
     for s in sizes:
-        _, durations = _tile_schedule(int(s), int(s), batch, scenario)
-        pre = sum(d[0] for d in durations.values())
-        exe = sum(d[1] for d in durations.values())
-        post = sum(d[2] for d in durations.values())
-        rows.append((int(s), pre, exe, post))
+        timing, costs, _ = _sweep_tiles(int(s), int(s), batch, scenario)
+        durations = [timing.durations(c) for c in costs.values()]
+        rows.append((int(s), *(sum(d[k] for d in durations) for k in range(3))))
     return rows
 
 
 def chip_utilization(size: int, scenario: str, batch: int = SWEEP_BATCH) -> float:
     """Total execution time over pipelined makespan."""
-    schedule, durations = _tile_schedule(size, size, batch, scenario)
-    return sum(d[1] for d in durations.values()) / _makespan(schedule)
+    return _sweep_trace(size, size, batch, scenario).utilization
 
 
 def rows_to_csv(rows, header) -> str:

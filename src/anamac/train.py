@@ -214,13 +214,14 @@ class Conv1dLayer:
     def forward(self, x, ctx: ForwardContext):
         """``matmul_forward`` on the gathered input vectors, folded to (B, C_out, *P).
 
-        The input scale is calibrated on a view of exactly the samples that
-        some window reads: the values of the vectors, so the same scale, with
-        no copy, and samples that no window reads do not move it. Each input
-        sample is then quantized once, not once per window it falls in, and
-        the integer windows are gathered from the quantized signal: the same
-        operands as quantizing the vectors. The forward gathers no float
-        windows; the backward pass keeps the raw signal and gathers them.
+        The input scale is calibrated on a view of the samples that some
+        computed window reads, including the window of a position that
+        ``truncate_positions`` drops: the values of the vectors, so the same
+        scale, with no copy. Each input sample is then quantized once, not
+        once per window it falls in, and the integer windows are gathered
+        from the quantized signal: the same operands as quantizing the
+        vectors. The forward gathers no float windows; the backward pass
+        keeps the raw signal and gathers them.
         """
         x = np.asarray(x, dtype=np.float32)
         w = self.weights

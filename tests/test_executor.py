@@ -1,13 +1,16 @@
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anamac
 from anamac import chip, executor, graph as g, perf
 from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, HwParams, InputOutOfRange, WeightOutOfRange
 from anamac.executor import (
@@ -161,6 +164,36 @@ def test_schedule_pipeline_properties(pipeline, workers, force_serial):
     if any(deps.values()):
         with pytest.raises(ValueError, match="listed before its dependency"):
             schedule_pipeline(dict(reversed(durations.items())), resource_of, deps, workers, force_serial)
+
+
+# -- one simulated clock ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n, batch", [(512, 256), (1024, 64)])
+def test_executor_makespan_is_the_sweeps_makespan(n, batch):
+    """The executor and ``anamac bench`` time one unsigned plan alike (sim_8g: link_8g, V2, HwParams(1, 1))."""
+    rng = np.random.default_rng(n)
+    w = rng.integers(0, 64, size=(n, n)).astype(np.int8)
+    x = rng.integers(0, 32, size=(batch, n)).astype(np.uint8)
+    plan = partition_matmul(n, n, signed=False, arrays=[(0, 0), (0, 1)])
+    graph = build_graph(plan, w, x, hw_params=HwParams(1, 1))
+    _, trace = Executor(SimulatedChips(1, NOISELESS)).run(graph)
+    assert trace.makespan == pytest.approx(batch * n * n / perf.mac_rate(n, n, batch, "sim_8g"), rel=1e-12)
+
+
+def test_executions_serialize_per_chip():
+    """A chip's two arrays share its link, so their executions never overlap; two chips' may."""
+    res = SimulatedChips(2, NOISELESS)
+    graph, _, _ = _simple_graph(np.random.default_rng(2), n=300, m=300, arrays=res.array_bindings())
+    _, trace = Executor(res).run(graph)
+    runs = {0: [], 1: []}
+    for r in trace.rows:
+        runs[graph.instances[r.instance].array_binding[0]].append((r.times.exec_start, r.times.exec_end))
+    for chip_runs in runs.values():
+        assert len(chip_runs) >= 2
+        chip_runs.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(chip_runs, chip_runs[1:]))
+    assert any(s0 < e1 and s1 < e0 for s0, e0 in runs[0] for s1, e1 in runs[1])
 
 
 # -- execution modes -------------------------------------------------------
@@ -441,7 +474,10 @@ def test_earliest_failure_in_topological_order_is_raised(monkeypatch):
 
 def test_importing_the_package_leaves_out_concurrent_futures():
     code = "import sys, anamac; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child gets the directory that holds the imported package, not pytest's pythonpath
+    path = [str(Path(anamac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "False"]
 
 
