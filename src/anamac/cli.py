@@ -4,6 +4,7 @@ inspection, throughput sweeps and the activity-recognition training demo."""
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -14,6 +15,15 @@ from .chip import ChipConfig, HwParams, load_chip_config
 from .executor import SimulatedChips
 from .partition import partition_matmul, plan_to_json
 from .tensor import read_csv, read_tensor, tensor, write_tensor
+
+
+_POSITIVE = click.IntRange(min=1)
+
+
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 def _read_array(path):
@@ -31,12 +41,12 @@ def main():
 @click.option("--inputs", "inputs_path", required=True, type=click.Path(exists=True))
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--chips", default=1, show_default=True, help="Number of simulated chips.")
+@click.option("--chips", default=1, type=_POSITIVE, show_default=True, help="Number of simulated chips.")
 @click.option("--chip-config", default=None, help="Chip config file or packaged name.")
 @click.option("--mode", default="simulated_time", type=click.Choice(["simulated_time", "measured_time"]))
 @click.option("--trace", "trace_path", default=None, type=click.Path(), help="Write the schedule trace CSV here.")
-@click.option("--num-sends", default=6, show_default=True)
-@click.option("--wait-between-events", default=25, show_default=True)
+@click.option("--num-sends", default=6, type=_POSITIVE, show_default=True)
+@click.option("--wait-between-events", default=25, type=_POSITIVE, show_default=True)
 def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_path, num_sends, wait_between_events):
     """Quantize float operands, run x @ W through the chip pipeline, dequantize."""
     x = _read_array(inputs_path).astype(np.float32)
@@ -87,12 +97,11 @@ def lower_conv(dims, in_channels, out_channels, kernel, stride, extent, explain)
 @click.option("--rows", required=True, type=int, help="Input dimension N.")
 @click.option("--cols", required=True, type=int, help="Output dimension M.")
 @click.option("--signed/--unsigned", default=True, show_default=True)
-@click.option("--chips", default=1, show_default=True)
+@click.option("--chips", default=1, type=_POSITIVE, show_default=True)
 @click.option("--explain", is_flag=True, help="Print the full tile plan as JSON.")
 def partition(rows, cols, signed, chips, explain):
     """Tile an N x M matmul onto the available synapse arrays."""
-    arrays = [(c, a) for c in range(chips) for a in range(2)]
-    plan = partition_matmul(rows, cols, signed=signed, arrays=arrays)
+    plan = partition_matmul(rows, cols, signed=signed, arrays=SimulatedChips(chips).array_bindings())
     if explain:
         click.echo(plan_to_json(plan))
     else:
@@ -132,11 +141,11 @@ def bench(scenarios, sweep, values, out_path, util_path):
 @main.command("train-har")
 @click.option("--data", "data_dir", required=True, type=click.Path(exists=True))
 @click.option("--backend", default="software", type=click.Choice(["software", "chip"]), show_default=True)
-@click.option("--epochs", default=10, show_default=True)
+@click.option("--epochs", default=10, type=_POSITIVE, show_default=True)
 @click.option("--lr", default=0.05, show_default=True)
-@click.option("--batch-size", default=64, show_default=True)
+@click.option("--batch-size", default=64, type=_POSITIVE, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--noise-lsb", default=0.0, show_default=True,
+@click.option("--noise-lsb", default=0.0, type=click.FloatRange(min=0), callback=_finite, show_default=True,
               help="Gaussian output noise (LSB) for robust software pre-training.")
 @click.option("--augment/--no-augment", default=False, show_default=True,
               help="Add stride-shifted copies of the training data.")
@@ -144,7 +153,7 @@ def bench(scenarios, sweep, values, out_path, util_path):
               help="Checkpoint directory to start from.")
 @click.option("--out", "out_dir", default=None, type=click.Path(), help="Checkpoint directory to save to.")
 @click.option("--metrics", "metrics_path", default=None, type=click.Path(), help="Write epoch,split,accuracy CSV.")
-@click.option("--chips", default=1, show_default=True)
+@click.option("--chips", default=1, type=_POSITIVE, show_default=True)
 def train_har(data_dir, backend, epochs, lr, batch_size, seed, noise_lsb, augment,
               pretrained, out_dir, metrics_path, chips):
     """Train the activity-recognition model, in software or hardware-in-the-loop."""

@@ -68,7 +68,8 @@ class SimulatedChips:
         return self.chips[chip_idx].arrays[array_idx]
 
     def array_bindings(self) -> list:
-        return [(c, a) for c in range(self.num_chips) for a in range(len(self.chips[c].arrays))]
+        """The pool's (chip, array) bindings, chip-major; initializes nothing."""
+        return [(c, a) for c in range(self.num_chips) for a in range(ARRAYS_PER_CHIP)]
 
 
 _GLOBAL: SimulatedChips | None = None

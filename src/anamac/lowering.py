@@ -6,7 +6,8 @@ overlapping input vector per output position, multiplied by a weight matrix
 that is constant across positions. For a small 1-d kernel, ``plan_expansion``
 reports how many copies would fit diagonally into one array, shifted by
 stride * C_in rows per copy, so that several output positions could compute in
-a single run; ``anamac lower-conv --explain`` shows that packing plan.
+a single run; ``anamac lower-conv --explain`` shows that packing plan for
+signed weights. A conv reads the leading ``extent`` samples of a longer input.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chip import COLS, ROWS
+from .chip import COLS, SIGNED_ROWS
 
 
 class ShapeMismatch(ValueError):
@@ -92,21 +93,31 @@ def unroll_kernel(spec: ConvSpec, kernel: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(flat.transpose(2, 1, 0).reshape(spec.matrix_rows, spec.out_channels))
 
 
+def _leading_extent(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
+    """A view of the leading ``spec.extent`` samples of ``x`` on each spatial axis.
+
+    ``x`` is (C_in, *L) or (B, C_in, *L) with every L at least its extent;
+    samples past the extent fall in no window and are not read.
+    """
+    x = np.asarray(x)
+    lead = x.ndim - spec.dims
+    short = any(l < e for l, e in zip(x.shape[lead:], spec.extent))
+    if lead not in (1, 2) or x.shape[lead - 1] != spec.in_channels or short:
+        raise ShapeMismatch(
+            f"input shape {x.shape}, expected ([B,] {spec.in_channels}, *L) with L >= {spec.extent}"
+        )
+    return x[(Ellipsis,) + tuple(slice(None, e) for e in spec.extent)]
+
+
 def gather_input_vectors(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
     """(B, C_in, *L) input -> (B * positions, taps * C_in) matmul inputs.
 
-    Rows are ordered batch-major, then by output position (row-major over the
-    spatial dims); each row is its window tap-major, channel-minor. The result
-    is a new C-contiguous array of ``x``'s dtype.
+    Reads the leading ``spec.extent`` samples of a longer input. Rows are
+    ordered batch-major, then by output position (row-major over the spatial
+    dims); each row is its window tap-major, channel-minor. The result is a
+    new C-contiguous array of ``x``'s dtype.
     """
-    x = np.asarray(x)
-    single = x.ndim == spec.dims + 1
-    if single:
-        x = x[None]
-    if x.shape[1:] != (spec.in_channels,) + spec.extent:
-        raise ShapeMismatch(
-            f"input shape {x.shape[1:]}, expected {(spec.in_channels,) + spec.extent}"
-        )
+    x = _leading_extent(spec, x).reshape((-1, spec.in_channels) + spec.extent)  # a view
     batch = x.shape[0]
     # channel-last, so that every window is one contiguous run of taps * C_in values
     channel_last = np.ascontiguousarray(np.moveaxis(x, 1, -1))
@@ -127,6 +138,7 @@ def _read_samples(spec: ConvSpec, x: np.ndarray) -> np.ndarray:
     The view holds the values of ``gather_input_vectors(spec, x)``, so any
     order-free reduction (a max) gives the same result on both.
     """
+    x = _leading_extent(spec, x)
     lead = x.ndim - spec.dims
     for axis, (k, s, p) in enumerate(zip(spec.kernel, spec.stride, spec.out_extent), start=lead):
         head = (slice(None),) * axis
@@ -158,12 +170,9 @@ class OutputDescriptor:
 
 def lower_conv(spec: ConvSpec, kernel, x):
     """(weight_matrix, input_vectors, output_descriptor) for one conv."""
-    x = np.asarray(x)
-    single = x.ndim == spec.dims + 1
-    batch = 1 if single else x.shape[0]
-    matrix = unroll_kernel(spec, kernel)
     vectors = gather_input_vectors(spec, x)
-    return matrix, vectors, OutputDescriptor(batch, spec.out_channels, spec.out_extent)
+    desc = OutputDescriptor(len(vectors) // spec.positions, spec.out_channels, spec.out_extent)
+    return unroll_kernel(spec, kernel), vectors, desc
 
 
 @dataclass(frozen=True)
@@ -210,22 +219,11 @@ def direct_conv(spec: ConvSpec, kernel, x) -> np.ndarray:
     single = x.ndim == spec.dims + 1
     if single:
         x = x[None]
-    batch = x.shape[0]
-    if spec.dims == 1:
-        (k,), (s,) = spec.kernel, spec.stride
-        (p,) = spec.out_extent
-        out = np.zeros((batch, spec.out_channels, p), dtype=np.int64)
-        for pos in range(p):
-            window = x[:, :, pos * s : pos * s + k]
-            out[:, :, pos] = np.einsum("bci,oci->bo", window, kernel)
-    else:
-        (k1, k2), (s1, s2) = spec.kernel, spec.stride
-        p1, p2 = spec.out_extent
-        out = np.zeros((batch, spec.out_channels, p1, p2), dtype=np.int64)
-        for i in range(p1):
-            for j in range(p2):
-                window = x[:, :, i * s1 : i * s1 + k1, j * s2 : j * s2 + k2]
-                out[:, :, i, j] = np.einsum("bcij,ocij->bo", window, kernel)
+    out = np.zeros((x.shape[0], spec.out_channels) + spec.out_extent, dtype=np.int64)
+    for pos in np.ndindex(*spec.out_extent):
+        taps = tuple(slice(p * s, p * s + k) for p, s, k in zip(pos, spec.stride, spec.kernel))
+        window = x[(Ellipsis,) + taps]
+        out[(Ellipsis,) + pos] = window.reshape(len(x), -1) @ kernel.reshape(spec.out_channels, -1).T
     return out[0] if single else out
 
 
@@ -240,7 +238,7 @@ def layout_to_json(spec: ConvSpec) -> dict:
     }
     if spec.dims == 1:
         try:
-            plan = plan_expansion(spec, ROWS)
+            plan = plan_expansion(spec, SIGNED_ROWS)  # the cap of every layer forward's signed weights
             doc["expansion"] = {
                 "copies": plan.copies,
                 "row_offset_per_copy": plan.row_offset_per_copy,

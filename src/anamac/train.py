@@ -72,6 +72,10 @@ class ForwardContext:
     # chip matmuls run so far; each keys its noise by (seed_salt, its number)
     chip_runs: int = field(default=0, init=False, repr=False)
 
+    def __post_init__(self):
+        if not 0 <= self.noise_lsb < np.inf:
+            raise ValueError(f"noise_lsb must be finite and >= 0, got {self.noise_lsb!r}")
+
 
 def quant_spec(x, w, gain: float) -> QuantSpec:
     """Max calibration of a signed-weight matmul whose chip outputs scale by ``gain``."""
@@ -189,22 +193,15 @@ class DenseLayer:
 
 
 class Conv1dLayer:
-    """1-d convolution lowered to a matmul; optional truncation of trailing positions."""
+    """1-d convolution lowered to a matmul; reads the leading ``spec.extent`` samples."""
 
-    def __init__(
-        self,
-        spec: lowering.ConvSpec,
-        rng: np.random.Generator,
-        hw_params: HwParams | None = None,
-        truncate_positions: int | None = None,
-    ):
+    def __init__(self, spec: lowering.ConvSpec, rng: np.random.Generator, hw_params: HwParams | None = None):
         self.spec = spec
         scale = 1.0 / np.sqrt(spec.matrix_rows)
         self.kernel = rng.uniform(
             -scale, scale, size=(spec.out_channels, spec.in_channels) + spec.kernel
         ).astype(np.float32)
         self.hw_params = hw_params or HwParams()
-        self.truncate_positions = truncate_positions
         self._state = None
 
     @property
@@ -214,40 +211,31 @@ class Conv1dLayer:
     def forward(self, x, ctx: ForwardContext):
         """``matmul_forward`` on the gathered input vectors, folded to (B, C_out, *P).
 
-        The input scale is calibrated on a view of the samples that some
-        computed window reads, including the window of a position that
-        ``truncate_positions`` drops: the values of the vectors, so the same
-        scale, with no copy. Each input sample is then quantized once, not
-        once per window it falls in, and the integer windows are gathered
-        from the quantized signal: the same operands as quantizing the
-        vectors. The forward gathers no float windows; the backward pass
-        keeps the raw signal and gathers them.
+        An input longer than ``spec.extent`` is read as its leading extent, a
+        view, so samples past it set no scale and get no gradient. The input
+        scale is calibrated on a view of the samples that some window reads:
+        the values of the vectors, so the same scale, with no copy. Each input
+        sample is then quantized once, not once per window it falls in, and
+        the integer windows are gathered from the quantized signal: the same
+        operands as quantizing the vectors. The forward gathers no float
+        windows; the backward pass keeps the float view and gathers them.
         """
-        x = np.asarray(x, dtype=np.float32)
+        x = lowering._leading_extent(self.spec, np.asarray(x, dtype=np.float32))
         w = self.weights
         spec = quant_spec(lowering._read_samples(self.spec, x), w, _gain(ctx))
         xq = lowering.gather_input_vectors(self.spec, quantize_inputs(x, spec))
         y_flat = _forward_quantized(xq, quantize_weights(w, spec), spec, self, ctx)
-        desc = lowering.OutputDescriptor(x.shape[0], self.spec.out_channels, self.spec.out_extent)
-        y = desc.fold(y_flat)
-        if self.truncate_positions is not None:
-            y = y[..., : self.truncate_positions]
         self._state = {"x": x}
-        return y
+        desc = lowering.OutputDescriptor(x.shape[0], self.spec.out_channels, self.spec.out_extent)
+        return desc.fold(y_flat)
 
     def backward(self, grad_y):
         if self._state is None:
             raise MissingState("backward called without a saved forward state")
-        spec = self.spec
-        x = self._state["x"]
-        batch = x.shape[0]
-        positions = spec.positions
-        grad_full = np.zeros((batch, spec.out_channels) + spec.out_extent, dtype=np.float32)
-        grad_full[..., : grad_y.shape[-1]] = grad_y
-        # (B, C_out, P) -> (B * P, C_out), matching gather_input_vectors order
-        grad_flat = grad_full.reshape(batch, spec.out_channels, positions)
-        grad_flat = np.ascontiguousarray(grad_flat.transpose(0, 2, 1)).reshape(-1, spec.out_channels)
-        grad_matrix = lowering.gather_input_vectors(spec, x).T @ grad_flat
+        # (B, C_out, *P) -> (B * P, C_out), matching gather_input_vectors order
+        grad_y = np.moveaxis(np.asarray(grad_y, np.float32), 1, -1)
+        grad_flat = np.ascontiguousarray(grad_y).reshape(-1, self.spec.out_channels)
+        grad_matrix = lowering.gather_input_vectors(self.spec, self._state["x"]).T @ grad_flat
         self.grad_kernel = self._fold_matrix_grad(grad_matrix)
         return None  # first-layer use only; input gradient not propagated
 
@@ -399,13 +387,14 @@ def load_har(directory) -> HarDataset:
 def har_model(rng: np.random.Generator, hw_params: HwParams | None = None) -> Sequential:
     """Conv1d 9->16 (k=32, s=6) + ReLU, Linear 256->125 + ReLU, Linear 125->6.
 
-    The conv output is truncated to 16 positions so the flattened feature
-    vector is exactly 256 wide.
+    The conv computes 16 positions, so the flattened feature vector is
+    exactly 256 wide. They read the leading (16 - 1) * 6 + 32 = 122 samples
+    of the dataset's 128-sample windows; samples 122-127 are not read.
     """
-    conv_spec = lowering.conv1d_spec(9, 16, k=32, stride=6, extent=HAR_TIMESTEPS)
+    conv_spec = lowering.conv1d_spec(9, 16, k=32, stride=6, extent=(16 - 1) * 6 + 32)
     return Sequential(
         [
-            Conv1dLayer(conv_spec, rng, hw_params, truncate_positions=16),
+            Conv1dLayer(conv_spec, rng, hw_params),
             ReLU(),
             Flatten(),
             DenseLayer(256, 125, rng, hw_params),

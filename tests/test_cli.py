@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from anamac.chip import load_chip_config
@@ -79,6 +81,49 @@ def test_partition_explain():
     doc = json.loads(result.output)
     assert len(doc["tiles"]) == 9
     assert doc["cap_rows"] == 128
+
+
+def test_partition_explain_on_two_chips_keeps_its_bytes():
+    """The plan binds tiles round-robin over ``SimulatedChips.array_bindings()``, chip-major."""
+    result = CliRunner().invoke(
+        main, ["partition", "--rows", "300", "--cols", "600", "--chips", "2", "--explain"]
+    )
+    assert result.exit_code == 0, result.output
+    assert [t["array"] for t in json.loads(result.output)["tiles"][:5]] == [[0, 0], [0, 1], [1, 0], [1, 1], [0, 0]]
+    assert hashlib.sha256(result.output.encode()).hexdigest()[:16] == "fc967eec2a2b9c3d"
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("train-har", "--epochs", "0"),
+        ("train-har", "--batch-size", "0"),
+        ("train-har", "--chips", "0"),
+        ("train-har", "--noise-lsb", "-1"),
+        ("train-har", "--noise-lsb", "nan"),
+        ("train-har", "--noise-lsb", "inf"),
+        ("matmul", "--chips", "0"),
+        ("matmul", "--num-sends", "0"),
+        ("matmul", "--wait-between-events", "0"),
+        ("partition", "--chips", "0"),
+    ],
+)
+def test_bad_option_values_are_usage_errors(tmp_path, command, option, value):
+    from test_train import _write_har_fixture
+
+    _write_har_fixture(tmp_path / "data", n_train=8, n_test=4)
+    write_tensor(tensor(np.ones((2, 3), dtype=np.float32)), tmp_path / "x.tns")
+    write_tensor(tensor(np.ones((3, 2), dtype=np.float32)), tmp_path / "w.tns")
+    required = {
+        "train-har": ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "ckpt")],
+        "matmul": ["--inputs", str(tmp_path / "x.tns"), "--weights", str(tmp_path / "w.tns"),
+                   "--out", str(tmp_path / "y.tns")],
+        "partition": ["--rows", "4", "--cols", "4"],
+    }[command]
+    result = CliRunner().invoke(main, [command, *required, option, value])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "ckpt").exists() and not (tmp_path / "y.tns").exists()
 
 
 def test_lower_conv_explain():

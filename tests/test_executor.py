@@ -56,6 +56,14 @@ def test_initialization_happens_once():
     assert res.init_count == 1
 
 
+def test_array_bindings_initialize_nothing():
+    """The bindings come from the pool's size alone: no chip is built and no fixed pattern drawn."""
+    res = SimulatedChips(2)
+    assert res.array_bindings() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert res.init_count == 0
+    assert all(res.array(b) is res.chips[b[0]].arrays[b[1]] for b in res.array_bindings())
+
+
 def test_initialization_does_not_build_the_noise_table():
     """The fixed pattern is drawn at set-up; the temporal-noise table waits for the first noisy MAC."""
     chip.noise_table.cache_clear()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anamac import lowering
 from anamac.chip import ROWS, SIGNED_ROWS
@@ -120,6 +124,39 @@ def test_gather_rejects_wrong_input_shape():
         lowering.gather_input_vectors(spec, np.zeros((1, 3, 8)))
 
 
+@st.composite
+def _spec_and_extra_samples(draw):
+    dims = draw(st.sampled_from([1, 2]))
+    kernel = tuple(draw(st.integers(1, 4)) for _ in range(dims))
+    stride = tuple(draw(st.integers(1, 5)) for _ in range(dims))
+    extent = tuple(k + draw(st.integers(0, 8)) for k in kernel)
+    spec = lowering.ConvSpec(dims, draw(st.integers(1, 3)), 1, kernel, stride, extent)
+    lead = (2,) if draw(st.booleans()) else ()
+    return spec, lead + (spec.in_channels,), tuple(draw(st.integers(0, 5)) for _ in range(dims))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_and_extra_samples(), st.data())
+def test_a_longer_input_is_read_as_its_leading_extent(case, data):
+    """Samples past ``spec.extent`` are ignored; a shorter input raises on either reader."""
+    spec, lead, extra = case
+    assume(any(extra))
+    shape = lead + tuple(e + d for e, d in zip(spec.extent, extra))
+    x = np.arange(math.prod(shape), dtype=np.float32).reshape(shape)  # every sample distinct
+    head = x[(Ellipsis,) + tuple(slice(None, e) for e in spec.extent)]
+    readers = (lowering.gather_input_vectors, lowering._read_samples)
+    for read in readers:
+        got, want = read(spec, x), read(spec, head)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert np.array_equal(got, want)
+    axis = data.draw(st.integers(0, spec.dims - 1))
+    short = list(shape)
+    short[len(lead) + axis] = data.draw(st.integers(0, spec.extent[axis] - 1))
+    for read in readers:
+        with pytest.raises(lowering.ShapeMismatch):
+            read(spec, np.zeros(short, np.float32))
+
+
 def test_expansion_plan_formula():
     # k=32, C_in=1, s=6, C_out=16 on a 256-row array
     spec = lowering.conv1d_spec(1, 16, k=32, stride=6, extent=128)
@@ -156,3 +193,12 @@ def test_layout_to_json_reports_expansion():
     doc = lowering.layout_to_json(spec)
     assert doc["matrix_rows"] == 32 and doc["matrix_cols"] == 16
     assert doc["expansion"]["copies"] == 16
+
+
+def test_layout_to_json_sizes_the_plan_for_signed_weights():
+    """Every layer forward runs signed weights, 128 rows per array: 25 copies fit, not 32."""
+    spec = lowering.conv1d_spec(4, 8, k=8, stride=1, extent=128)
+    doc = lowering.layout_to_json(spec)
+    assert doc["expansion"]["copies"] == 25  # min((128 - 32) // 4 + 1, 256 // 8)
+    assert doc["expansion"]["packed_rows"] == 24 * 4 + 32 == SIGNED_ROWS
+    assert doc["expansion"]["packed_cols"] == 25 * 8

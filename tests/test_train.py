@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anamac import executor
+from anamac import executor, partition
 from anamac.chip import ChipConfig, noise_table
 from anamac.executor import SimulatedChips, global_resources, reset_resources
 from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
@@ -147,6 +147,12 @@ def test_software_noise_without_a_generator_raises():
         matmul_forward(np.ones((2, 8), np.float32), _Bare(w), ForwardContext(noise_lsb=1.0))
 
 
+@pytest.mark.parametrize("noise_lsb", [-1.0, -1e-9, np.inf, np.nan])
+def test_forward_context_rejects_a_negative_or_non_finite_noise(noise_lsb):
+    with pytest.raises(ValueError, match="noise_lsb"):
+        ForwardContext(noise_lsb=noise_lsb, rng=np.random.default_rng(0))
+
+
 def test_software_noise_is_added_before_the_one_digitisation():
     """y8 = clip(round_half_away(gain * acc + noise_lsb * level[index]), -128, 127).
 
@@ -272,23 +278,76 @@ def test_conv1d_layer_matches_direct_conv():
     assert np.array_equal(y, ref)
 
 
-def test_conv1d_truncation_and_backward_shapes():
-    from anamac.lowering import conv1d_spec
-
-    rng = np.random.default_rng(5)
-    spec = conv1d_spec(9, 16, k=32, stride=6, extent=128)
-    layer = Conv1dLayer(spec, rng, truncate_positions=16)
-    x = np.abs(rng.normal(size=(3, 9, 128))).astype(np.float32)
+def test_har_conv_computes_the_16_positions_it_keeps():
+    """The HAR conv's spec is the one it computes: 16 positions over the leading 122 samples."""
+    layer = har_model(np.random.default_rng(5)).layers[0]
+    assert layer.spec.extent == (122,) and layer.spec.out_extent == (16,)
+    x = np.abs(np.random.default_rng(6).normal(size=(3, 9, 128))).astype(np.float32)
     y = layer.forward(x, ForwardContext())
-    assert y.shape == (3, 16, 16)  # 17 positions truncated to 16
+    assert y.shape == (3, 16, 16)
     layer.backward(np.ones_like(y))
     assert layer.grad_kernel.shape == layer.kernel.shape
 
 
+@pytest.mark.parametrize("backend", ["software", "chip"])
+def test_har_forward_at_b64_feeds_1024_conv_vectors(monkeypatch, backend):
+    """64 samples x 16 positions: no input vector for a dropped position reaches the backend."""
+    fed = []
+    if backend == "chip":
+
+        def build_graph(plan, wq, xq, **kwargs):
+            fed.append(xq.shape)
+            return partition.build_graph(plan, wq, xq, **kwargs)
+
+        monkeypatch.setattr("anamac.train.build_graph", build_graph)
+    else:
+
+        def integer_product(xq, wq):
+            fed.append(xq.shape)
+            return _integer_product(xq, wq)
+
+        monkeypatch.setattr("anamac.train._integer_product", integer_product)
+    model = har_model(np.random.default_rng(7))
+    x = np.random.default_rng(8).standard_normal((64, 9, 128)).astype(np.float32)
+    model.forward(x, ForwardContext(backend=backend, resources=SimulatedChips(1)))
+    assert fed == [(1024, 288), (64, 256), (64, 125)]
+
+
+@pytest.mark.parametrize("backend", ["software", "chip"])
+def test_har_samples_past_the_conv_extent_change_nothing(monkeypatch, backend):
+    """A spike in samples 122-127 moves no logit, no gradient and not the conv's input scale."""
+    conv_scales = []
+
+    def recording(a):
+        scale = input_scale_for(a)
+        if np.ndim(a) == 3:  # the conv's signal view; the dense layers pass matrices
+            conv_scales.append(scale)
+        return scale
+
+    monkeypatch.setattr("anamac.train.input_scale_for", recording)
+    x = np.random.default_rng(9).standard_normal((8, 9, 128)).astype(np.float32)
+    spiked = x.copy()
+    spiked[:, :, 122:] = 1e3
+    labels = np.arange(8) % 6
+    res = SimulatedChips(1)
+    runs = []
+    for signal in (x, spiked):
+        model = har_model(np.random.default_rng(10))
+        logits = model.forward(signal, ForwardContext(backend=backend, resources=res, seed_salt=4))
+        model.backward(cross_entropy_grad(logits, labels))
+        conv, dense1, dense2 = model.layers[0], model.layers[3], model.layers[5]
+        runs.append([logits, conv.grad_kernel, dense1.grad_w, dense2.grad_w])
+    for clean, spike in zip(*runs):
+        assert clean.tobytes() == spike.tobytes()
+    assert conv_scales[0] == conv_scales[1] < input_scale_for(spiked)
+
+
 def _conv_cases():
     rng = np.random.default_rng(12)
-    har = conv1d_spec(9, 16, k=32, stride=6, extent=128)
+    # the HAR conv on an input 6 samples longer than its extent of 122
+    har = conv1d_spec(9, 16, k=32, stride=6, extent=122)
     x_har = rng.standard_normal((4, 9, 128)).astype(np.float32)
+    x_har[3, 5, 125] = 100.0  # the largest |x| sits past the extent
     # stride 5 > k 3: samples 3, 4, 8, 9, ..., 28, 29 fall in no window
     gappy = conv1d_spec(3, 4, k=3, stride=5, extent=30)
     x_gap = rng.standard_normal((2, 3, 30)).astype(np.float32)
@@ -297,7 +356,7 @@ def _conv_cases():
     trailing = conv1d_spec(2, 3, k=4, stride=3, extent=12)
     x_tail = rng.standard_normal((3, 2, 12)).astype(np.float32)
     x_tail[2, 1, 11] = -50.0  # the largest |x| sits in an unread trailing sample
-    return [(har, x_har, 16), (gappy, x_gap, None), (trailing, x_tail, None)]
+    return [(har, x_har), (gappy, x_gap), (trailing, x_tail)]
 
 
 @pytest.mark.parametrize("backend", ["software", "software-noisy", "chip"])
@@ -311,20 +370,18 @@ def test_conv1d_forward_equals_matmul_forward_on_the_gathered_vectors(backend):
             return ForwardContext(noise_lsb=2.0, rng=np.random.default_rng(9))
         return ForwardContext()
 
-    for spec, x, truncate in _conv_cases():
-        layer = Conv1dLayer(spec, np.random.default_rng(13), truncate_positions=truncate)
+    for spec, x in _conv_cases():
+        layer = Conv1dLayer(spec, np.random.default_rng(13))
         y = layer.forward(x, ctx())
         vectors = gather_input_vectors(spec, x)
         y_flat, _ = matmul_forward(vectors, layer, ctx())
-        ref = OutputDescriptor(len(x), spec.out_channels, spec.out_extent).fold(y_flat)[..., :truncate]
+        ref = OutputDescriptor(len(x), spec.out_channels, spec.out_extent).fold(y_flat)
         assert (y.dtype, y.shape) == (ref.dtype, ref.shape)
         assert y.tobytes() == ref.tobytes()
         # the kernel gradient is the conventional matmul's on the float vectors
         g = np.random.default_rng(10).standard_normal(y.shape).astype(np.float32)
         layer.backward(g)
-        grad_full = np.zeros((len(x), spec.out_channels, spec.positions), np.float32)
-        grad_full[..., : g.shape[-1]] = g
-        grad_flat = np.ascontiguousarray(grad_full.transpose(0, 2, 1)).reshape(-1, spec.out_channels)
+        grad_flat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(-1, spec.out_channels)
         ref_grad = layer._fold_matrix_grad(vectors.T @ grad_flat)
         assert (layer.grad_kernel.dtype, layer.grad_kernel.shape) == (ref_grad.dtype, ref_grad.shape)
         assert layer.grad_kernel.tobytes() == ref_grad.tobytes()
@@ -339,15 +396,14 @@ def test_conv1d_calibrates_on_a_view_of_the_samples_its_windows_read(monkeypatch
         return calls[-1][1]
 
     monkeypatch.setattr("anamac.train.input_scale_for", recording)
-    for spec, x, truncate in _conv_cases():
+    for spec, x in _conv_cases():
         calls.clear()
-        layer = Conv1dLayer(spec, np.random.default_rng(13), truncate_positions=truncate)
+        layer = Conv1dLayer(spec, np.random.default_rng(13))
         layer.forward(x, ForwardContext())
         ((view, scale),) = calls
         assert np.shares_memory(view, x)
         assert scale == input_scale_for(gather_input_vectors(spec, x))
-        if spec.extent != (128,):  # the HAR conv reads every sample; the others skip the max
-            assert scale < input_scale_for(x)
+        assert scale < input_scale_for(x)  # each case's largest |x| falls in no window
 
 
 @pytest.mark.parametrize("backend", ["software", "chip"])
@@ -361,8 +417,7 @@ def test_conv1d_forward_gathers_no_float_windows(monkeypatch, backend):
         return vectors
 
     monkeypatch.setattr("anamac.lowering.gather_input_vectors", recording)
-    spec = conv1d_spec(9, 16, k=32, stride=6, extent=128)
-    layer = Conv1dLayer(spec, np.random.default_rng(14), truncate_positions=16)
+    layer = har_model(np.random.default_rng(14)).layers[0]
     x = np.random.default_rng(15).standard_normal((4, 9, 128)).astype(np.float32)
     y = layer.forward(x, ForwardContext(backend=backend, resources=SimulatedChips(1)))
     assert dtypes == [np.uint8]
@@ -371,7 +426,7 @@ def test_conv1d_forward_gathers_no_float_windows(monkeypatch, backend):
 
 
 def test_conv1d_quantizes_each_input_sample_once(monkeypatch):
-    """The conv quantizes its (B, C_in, L) signal, not its (B * P, k * C_in) vectors."""
+    """The conv quantizes its (B, C_in, extent) signal, not its (B * P, k * C_in) vectors."""
     sizes = []
 
     def recording(a, spec):
@@ -379,12 +434,11 @@ def test_conv1d_quantizes_each_input_sample_once(monkeypatch):
         return quantize_inputs(a, spec)
 
     monkeypatch.setattr("anamac.train.quantize_inputs", recording)
-    spec = conv1d_spec(9, 16, k=32, stride=6, extent=128)
-    layer = Conv1dLayer(spec, np.random.default_rng(14), truncate_positions=16)
+    layer = har_model(np.random.default_rng(14)).layers[0]
     x = np.random.default_rng(15).standard_normal((4, 9, 128)).astype(np.float32)
     for backend in ("software", "chip"):
         layer.forward(x, ForwardContext(backend=backend, resources=SimulatedChips(1)))
-    assert sizes == [4 * 9 * 128] * 2  # not 4 * 17 * 32 * 9 vector entries
+    assert sizes == [4 * 9 * 122] * 2  # not 4 * 16 * 32 * 9 vector entries
 
 
 def test_dense_layer_step_descends_gradient():
@@ -576,7 +630,7 @@ def test_har_model_shapes():
     x = np.abs(np.random.default_rng(1).normal(size=(2, 9, 128))).astype(np.float32)
     logits = model.forward(x, ForwardContext())
     assert logits.shape == (2, 6)
-    # conv 9->16 k32 s6 (17 positions, truncated to 16), dense 256->125, dense 125->6
+    # conv 9->16 k32 s6 (16 positions over 122 samples), dense 256->125, dense 125->6
     conv, dense1, dense2 = model.layers[0], model.layers[3], model.layers[5]
     assert conv.kernel.shape == (16, 9, 32)
     assert dense1.weights.shape == (256, 125)
