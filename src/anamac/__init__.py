@@ -18,14 +18,7 @@ from .chip import (
     SynapseArray,
     load_chip_config,
 )
-from .executor import (
-    Executor,
-    SimulatedChips,
-    acquire_chips,
-    configure_resources,
-    global_resources,
-    reset_resources,
-)
+from .executor import Executor, SimulatedChips
 from .graph import DependencyGraph, GraphBuilder, VertexKind, topo_schedule, validate
 from .lowering import (
     ConvSpec,
@@ -45,13 +38,7 @@ from .perf import (
     mac_rate_curve,
     schedule_pipeline,
 )
-from .quant import (
-    QuantSpec,
-    dequantize_outputs,
-    quantize_inputs,
-    quantize_weights,
-    round_half_away,
-)
+from .quant import QuantSpec, dequantize_outputs, quantize_inputs, quantize_weights
 from .tensor import Tensor, read_tensor, reshape, tensor, write_tensor
 
 __version__ = "0.1.0"

@@ -18,12 +18,24 @@ from .tensor import read_csv, read_tensor, tensor, write_tensor
 
 
 _POSITIVE = click.IntRange(min=1)
+_HW = HwParams()
 
 
 def _finite(ctx, param, value):
     if not math.isfinite(value):
         raise click.BadParameter(f"{value} is not a finite number")
     return value
+
+
+def _positive_ints(ctx, param, value):
+    """A comma-separated option value as a tuple of positive ints."""
+    try:
+        ints = tuple(int(v) for v in str(value).split(","))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
+    if any(v < 1 for v in ints):
+        raise click.BadParameter(f"{value!r} holds an entry below 1")
+    return ints
 
 
 def _read_array(path):
@@ -45,8 +57,8 @@ def main():
 @click.option("--chip-config", default=None, help="Chip config file or packaged name.")
 @click.option("--mode", default="simulated_time", type=click.Choice(["simulated_time", "measured_time"]))
 @click.option("--trace", "trace_path", default=None, type=click.Path(), help="Write the schedule trace CSV here.")
-@click.option("--num-sends", default=6, type=_POSITIVE, show_default=True)
-@click.option("--wait-between-events", default=25, type=_POSITIVE, show_default=True)
+@click.option("--num-sends", default=_HW.num_sends, type=_POSITIVE, show_default=True)
+@click.option("--wait-between-events", default=_HW.wait_between_events, type=_POSITIVE, show_default=True)
 def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_path, num_sends, wait_between_events):
     """Quantize float operands, run x @ W through the chip pipeline, dequantize."""
     x = _read_array(inputs_path).astype(np.float32)
@@ -74,16 +86,19 @@ def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_
 @click.option("--dims", default="1", type=click.Choice(["1", "2"]), show_default=True)
 @click.option("--in-channels", required=True, type=int)
 @click.option("--out-channels", required=True, type=int)
-@click.option("--kernel", required=True, help="Comma-separated, one entry per spatial dim.")
-@click.option("--stride", default="1", show_default=True)
-@click.option("--extent", required=True, help="Input spatial extent(s), comma-separated.")
+@click.option("--kernel", required=True, callback=_positive_ints,
+              help="Comma-separated, one entry per spatial dim.")
+@click.option("--stride", default="1", callback=_positive_ints, show_default=True)
+@click.option("--extent", required=True, callback=_positive_ints,
+              help="Input spatial extent(s), comma-separated.")
 @click.option("--explain", is_flag=True, help="Print the matrix layout and packing as JSON.")
 def lower_conv(dims, in_channels, out_channels, kernel, stride, extent, explain):
     """Show how a convolution lowers onto the synapse array."""
-    dims = int(dims)
-    parse = lambda s: tuple(int(v) for v in str(s).split(","))
-    spec = lowering.ConvSpec(dims, in_channels, out_channels, parse(kernel), parse(stride), parse(extent))
-    doc = lowering.layout_to_json(spec)
+    try:
+        spec = lowering.ConvSpec(int(dims), in_channels, out_channels, kernel, stride, extent)
+        doc = lowering.layout_to_json(spec)
+    except (lowering.ShapeMismatch, lowering.EmptyOutput) as e:  # layout_to_json reports KernelTooLarge
+        raise click.UsageError(str(e)) from e
     if explain:
         click.echo(json.dumps(doc, indent=2))
     else:
@@ -94,8 +109,8 @@ def lower_conv(dims, in_channels, out_channels, kernel, stride, extent, explain)
 
 
 @main.command()
-@click.option("--rows", required=True, type=int, help="Input dimension N.")
-@click.option("--cols", required=True, type=int, help="Output dimension M.")
+@click.option("--rows", required=True, type=_POSITIVE, help="Input dimension N.")
+@click.option("--cols", required=True, type=_POSITIVE, help="Output dimension M.")
 @click.option("--signed/--unsigned", default=True, show_default=True)
 @click.option("--chips", default=1, type=_POSITIVE, show_default=True)
 @click.option("--explain", is_flag=True, help="Print the full tile plan as JSON.")
@@ -111,13 +126,15 @@ def partition(rows, cols, signed, chips, explain):
 @main.command()
 @click.option("--scenario", "scenarios", multiple=True, default=("sim_8g",), show_default=True)
 @click.option("--sweep", default="size", type=click.Choice(["size", "batch"]), show_default=True)
-@click.option("--values", default="8,16,32,64,128,256,512,1024", show_default=True)
+@click.option("--values", "xs", default="8,16,32,64,128,256,512,1024", callback=_positive_ints,
+              show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--utilization", "util_path", default=None, type=click.Path(),
               help="Also write a per-stage time breakdown (size sweep only).")
-def bench(scenarios, sweep, values, out_path, util_path):
+def bench(scenarios, sweep, xs, out_path, util_path):
     """Throughput sweeps of the analytical link model (CSV: x,rate_mac_per_s,scenario)."""
-    xs = [int(v) for v in values.split(",")]
+    if util_path and sweep != "size":
+        raise click.UsageError("--utilization needs --sweep size")
     rows = []
     for scenario in scenarios:
         if scenario not in perf.SCENARIOS:

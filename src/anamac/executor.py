@@ -72,47 +72,6 @@ class SimulatedChips:
         return [(c, a) for c in range(self.num_chips) for a in range(ARRAYS_PER_CHIP)]
 
 
-_GLOBAL: SimulatedChips | None = None
-_GLOBAL_LOCK = threading.Lock()
-
-
-def configure_resources(num_chips: int = 1, config: ChipConfig | None = None) -> None:
-    """Declare the simulated hardware pool; must precede the first acquire."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if _GLOBAL is not None and _GLOBAL._chips is not None:
-            raise Unavailable("resources already initialized; reconfiguration requires reset_resources()")
-        _GLOBAL = SimulatedChips(num_chips, config)
-
-
-def reset_resources() -> None:
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = None
-
-
-def acquire_chips(n: int) -> list:
-    """Idempotent initialization plus handles to n exclusive chips."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if _GLOBAL is None:
-            _GLOBAL = SimulatedChips(max(n, 1))
-    if n > _GLOBAL.num_chips:
-        raise Unavailable(f"requested {n} chips, only {_GLOBAL.num_chips} configured")
-    _GLOBAL.initialize()
-    return _GLOBAL.chips[:n]
-
-
-def global_resources() -> SimulatedChips:
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if _GLOBAL is None:
-            _GLOBAL = SimulatedChips(1)
-    return _GLOBAL
-
-
 def instance_rng(config: ChipConfig, instance_id: int, salt: int | tuple = 0) -> np.random.Generator:
     """Temporal-noise stream for one instance; independent of arrival order.
 
@@ -180,13 +139,15 @@ def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
 
 
 class Executor:
-    def __init__(
-        self,
-        resources: SimulatedChips | None = None,
-        workers: int | None = None,
-        seed_salt: int | tuple = 0,
-    ):
-        self.resources = resources if resources is not None else global_resources()
+    """Runs dependency graphs on ``resources``, the one explicit pool of chips.
+
+    Every chip path takes its ``SimulatedChips`` from the caller; there is no
+    default pool. One pool object draws its fixed pattern once, so runs that
+    share it see the same chips.
+    """
+
+    def __init__(self, resources: SimulatedChips, workers: int | None = None, seed_salt: int | tuple = 0):
+        self.resources = resources
         self.workers = workers
         self.seed_salt = seed_salt
 

@@ -48,6 +48,10 @@ class ConvSpec:
             raise ShapeMismatch("only conv1d and conv2d are supported")
         if len(self.kernel) != self.dims or len(self.stride) != self.dims or len(self.extent) != self.dims:
             raise ShapeMismatch("kernel/stride/extent must have one entry per spatial dim")
+        if self.in_channels < 1 or self.out_channels < 1:
+            raise ShapeMismatch(f"channel counts must be >= 1, got {self.in_channels} -> {self.out_channels}")
+        if any(k < 1 for k in self.kernel):
+            raise ShapeMismatch("kernel must be >= 1")
         if any(s < 1 for s in self.stride):
             raise ShapeMismatch("stride must be >= 1")
         if any(o < 1 for o in self.out_extent):

@@ -157,15 +157,13 @@ class RunTrace:
         return total_exec / span if span > 0 else 0.0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["instance", "stage", "t_start", "t_end", "bytes"])
+        rows = []
         for r in sorted(self.rows, key=lambda r: r.instance):
             t, (pre, exec_, post) = r.times, r.bytes
-            writer.writerow([r.instance, "pre", repr(t.pre_start), repr(t.pre_end), pre])
-            writer.writerow([r.instance, "exec", repr(t.exec_start), repr(t.exec_end), exec_])
-            writer.writerow([r.instance, "post", repr(t.post_start), repr(t.post_end), post])
-        return buf.getvalue()
+            rows.append((r.instance, "pre", t.pre_start, t.pre_end, pre))
+            rows.append((r.instance, "exec", t.exec_start, t.exec_end, exec_))
+            rows.append((r.instance, "post", t.post_start, t.post_end, post))
+        return rows_to_csv(rows, ["instance", "stage", "t_start", "t_end", "bytes"])
 
 
 @dataclass(frozen=True)

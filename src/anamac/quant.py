@@ -55,11 +55,6 @@ class QuantSpec:
                 raise ValueError(f"{name} must be strictly positive and finite, got {v}")
 
 
-def round_half_away(values: np.ndarray) -> np.ndarray:
-    """Round to nearest with ties going away from zero."""
-    return np.trunc(values + np.copysign(0.5, values))
-
-
 def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarray:
     """``to_fixed(values / scale, lo, hi, dtype)`` one cache-sized block at a time.
 
@@ -67,9 +62,9 @@ def _to_fixed_blocks(values: np.ndarray, lo, hi, dtype, scale=None) -> np.ndarra
     0.5)``, and ``scale`` is taken in that type too: a scale that rounds to 0
     or infinity there raises ``ValueError``.
 
-    The result equals ``round_half_away``, clip and cast in that type, in
-    fewer passes: clip first, which is exact because rounding is monotone and
-    the rails are integers; then add 0.5, subtract 1 where the value is
+    The result equals rounding half away from zero, clip and cast in that
+    type, in fewer passes: clip first, which is exact because rounding is
+    monotone and the rails are integers; then add 0.5, subtract 1 where the value is
     negative (only when ``lo < 0``) and let the integer cast truncate the
     result, which lies in [lo - 0.5, hi + 0.5]. For r <= -0.25, ``r + 0.5`` is
     exact, so ``r + 0.5 - 1`` rounds once, as ``r - 0.5`` does; for
@@ -128,9 +123,9 @@ def to_fixed(values, lo, hi, dtype) -> np.ndarray:
 
     The float-to-fixed-point conversion of the quantizers. It runs in the
     operand's float type (float64 for integer operands), in which it equals
-    ``round_half_away``, clip and cast byte for byte. ``values`` is never
-    written to; the ADC models use ``digitise``, which rounds the same way
-    in their own buffer.
+    ``trunc(v + copysign(0.5, v))``, clip and cast byte for byte. ``values``
+    is never written to; the ADC models use ``digitise``, which rounds the
+    same way in their own buffer.
     """
     return _to_fixed_blocks(np.asarray(values), lo, hi, dtype)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lowering
 from .chip import ChipConfig, HwParams, gaussian_noise
-from .executor import Executor, SimulatedChips, global_resources
+from .executor import Executor, SimulatedChips
 from .partition import build_graph, partition_matmul
 from .quant import (
     INPUT_MAX,
@@ -65,7 +65,8 @@ class ForwardContext:
     """Per-step execution settings shared by all layers of one forward pass."""
 
     backend: str = "software"  # software | chip
-    resources: SimulatedChips | None = None  # None: the chip backend uses global_resources()
+    # the chip backend's pool, required there; one pool keeps its fixed pattern across calls
+    resources: SimulatedChips | None = None
     noise_lsb: float = 0.0  # software-model Gaussian output noise, output LSB, drawn by chip.gaussian_noise
     rng: np.random.Generator | None = None  # required when noise_lsb > 0
     seed_salt: int = 0  # decorrelates chip temporal noise across steps
@@ -75,6 +76,8 @@ class ForwardContext:
     def __post_init__(self):
         if not 0 <= self.noise_lsb < np.inf:
             raise ValueError(f"noise_lsb must be finite and >= 0, got {self.noise_lsb!r}")
+        if self.backend == "chip" and self.resources is None:
+            raise ValueError("the chip backend needs an explicit SimulatedChips pool (resources=...)")
 
 
 def quant_spec(x, w, gain: float) -> QuantSpec:
@@ -109,21 +112,17 @@ def _chip_matmul(xq, wq, spec: QuantSpec, resources: SimulatedChips, hw_params, 
 
 
 def _gain(ctx: ForwardContext) -> float:
-    """The output gain of ``ctx``'s chips; the software model builds no pool to read it."""
-    if ctx.resources is not None:
-        return ctx.resources.config.gain
-    return global_resources().config.gain if ctx.backend == "chip" else ChipConfig().gain
+    """The output gain of ``ctx``'s chips, or of the default chip when it has no pool."""
+    return ctx.resources.config.gain if ctx.resources is not None else ChipConfig().gain
 
 
 def _forward_quantized(xq, wq, spec: QuantSpec, layer, ctx: ForwardContext):
     """Dequantized ``xq @ wq`` through ``ctx``'s backend, calibrated by ``spec``."""
     if ctx.backend == "chip":
-        # None: one global pool, so the fixed pattern persists across calls
-        resources = ctx.resources if ctx.resources is not None else global_resources()
         hw_params = getattr(layer, "hw_params", None)
         salt = (ctx.seed_salt, ctx.chip_runs)  # no two runs of one context share a noise key
         ctx.chip_runs += 1
-        y, _ = _chip_matmul(xq, wq, spec, resources, hw_params, "simulated_time", salt)
+        y, _ = _chip_matmul(xq, wq, spec, ctx.resources, hw_params, "simulated_time", salt)
         return y
     if ctx.backend != "software":
         raise ValueError(f"unknown backend {ctx.backend!r}")

@@ -1,11 +1,13 @@
 import hashlib
+import importlib
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from anamac.chip import load_chip_config
+from anamac.chip import HwParams, load_chip_config
+from anamac import cli
 from anamac.cli import main
 from anamac.executor import SimulatedChips
 from anamac.train import ForwardContext, matmul_forward
@@ -106,6 +108,13 @@ def test_partition_explain_on_two_chips_keeps_its_bytes():
         ("matmul", "--num-sends", "0"),
         ("matmul", "--wait-between-events", "0"),
         ("partition", "--chips", "0"),
+        ("partition", "--rows", "0"),
+        ("partition", "--cols", "0"),
+        ("bench", "--values", "0"),
+        ("bench", "--values", "8,-8"),
+        ("bench", "--values", "a"),
+        ("lower-conv", "--kernel", "0"),
+        ("lower-conv", "--stride", "x"),
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, command, option, value):
@@ -119,11 +128,47 @@ def test_bad_option_values_are_usage_errors(tmp_path, command, option, value):
         "matmul": ["--inputs", str(tmp_path / "x.tns"), "--weights", str(tmp_path / "w.tns"),
                    "--out", str(tmp_path / "y.tns")],
         "partition": ["--rows", "4", "--cols", "4"],
+        "bench": [],
+        "lower-conv": ["--in-channels", "2", "--out-channels", "4", "--kernel", "4", "--extent", "10"],
     }[command]
     result = CliRunner().invoke(main, [command, *required, option, value])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
     assert not (tmp_path / "ckpt").exists() and not (tmp_path / "y.tns").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--in-channels", "0", "--out-channels", "4", "--kernel", "4"], "channel counts"),
+        (["--in-channels", "2", "--out-channels", "0", "--kernel", "4"], "channel counts"),
+        (["--in-channels", "2", "--out-channels", "4", "--kernel", "40"], "output extent"),
+        (["--in-channels", "2", "--out-channels", "4", "--kernel", "4,4"], "one entry per spatial dim"),
+    ],
+)
+def test_lower_conv_rejects_a_conv_it_cannot_build(args, message):
+    result = CliRunner().invoke(main, ["lower-conv", *args, "--extent", "10", "--explain"])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_matmul_hardware_defaults_are_hw_params(monkeypatch):
+    """`matmul` repeats no hardware default: a new HwParams default reaches its options."""
+
+    def defaults():
+        params = {p.name: p.default for p in cli.main.commands["matmul"].params}
+        return params["num_sends"], params["wait_between_events"]
+
+    hw = HwParams()
+    assert defaults() == (hw.num_sends, hw.wait_between_events)
+    moved = (hw.num_sends + 1, hw.wait_between_events + 1)
+    monkeypatch.setattr(HwParams.__init__, "__defaults__", moved)
+    try:
+        importlib.reload(cli)
+        assert defaults() == moved
+    finally:
+        monkeypatch.undo()
+        importlib.reload(cli)
 
 
 def test_lower_conv_explain():
@@ -151,6 +196,15 @@ def test_bench_writes_csv(tmp_path):
     assert len(lines) == 5  # 2 scenarios x 2 sizes
     util = (tmp_path / "util.csv").read_text().splitlines()
     assert util[0] == "size,t_pre,t_exec,t_post"
+
+
+def test_bench_utilization_needs_the_size_sweep(tmp_path):
+    result = CliRunner().invoke(
+        main, ["bench", "--sweep", "batch", "--values", "8", "--utilization", str(tmp_path / "util.csv")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--utilization" in result.output
+    assert not (tmp_path / "util.csv").exists()
 
 
 def test_bench_rejects_unknown_scenario():

@@ -13,28 +13,12 @@ from hypothesis import strategies as st
 import anamac
 from anamac import chip, executor, graph as g, perf
 from anamac.chip import OWNERSHIP_LOG_LEN, SIGNED_ROWS, ChipConfig, HwParams, InputOutOfRange, WeightOutOfRange
-from anamac.executor import (
-    Executor,
-    SimulatedChips,
-    Unavailable,
-    acquire_chips,
-    configure_resources,
-    global_resources,
-    instance_rng,
-    reset_resources,
-)
+from anamac.executor import Executor, SimulatedChips, Unavailable, instance_rng
 from anamac.partition import build_graph, partition_matmul
 from anamac.perf import InstanceCost, schedule_pipeline
 
 NOISELESS = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
 NOISY = ChipConfig(chip_seed=3)
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_pool():
-    reset_resources()
-    yield
-    reset_resources()
 
 
 def _simple_graph(rng, n=60, m=40, batch=3, arrays=((0, 0), (0, 1))):
@@ -71,31 +55,10 @@ def test_initialization_does_not_build_the_noise_table():
     assert chip.noise_table.cache_info().currsize == 0
 
 
-def test_acquire_more_than_configured_raises():
-    configure_resources(1)
-    with pytest.raises(Unavailable):
-        acquire_chips(2)
-
-
-def test_reconfigure_after_init_raises():
-    configure_resources(1)
-    acquire_chips(1)
-    with pytest.raises(Unavailable):
-        configure_resources(2)
-    reset_resources()
-    configure_resources(2)  # fine after a reset
-    assert len(acquire_chips(2)) == 2
-
-
 def test_unavailable_binding():
     res = SimulatedChips(1)
     with pytest.raises(Unavailable):
         res.array((1, 0))
-
-
-def test_global_pool_defaults_to_one_chip():
-    res = global_resources()
-    assert res.num_chips == 1
 
 
 # -- schedule --------------------------------------------------------------

@@ -55,6 +55,16 @@ def test_spec_validation():
         lowering.conv1d_spec(1, 1, k=2, stride=0, extent=4)
 
 
+@pytest.mark.parametrize(
+    "c_in, c_out, kernel",
+    [(0, 4, (4,)), (2, 0, (4,)), (-1, 4, (4,)), (2, 4, (0,)), (2, 4, (-2,)), (2, 4, (3, 0))],
+)
+def test_spec_rejects_shapes_that_make_no_conv(c_in, c_out, kernel):
+    dims = len(kernel)
+    with pytest.raises(lowering.ShapeMismatch):
+        lowering.ConvSpec(dims, c_in, c_out, kernel, (1,) * dims, (10,) * dims)
+
+
 def _gather_loop(spec, x):
     """One window copy per output position: the reference for the strided gather."""
     x = np.asarray(x)

@@ -7,9 +7,9 @@ import pytest
 
 from anamac import executor, partition
 from anamac.chip import ChipConfig, noise_table
-from anamac.executor import SimulatedChips, global_resources, reset_resources
+from anamac.executor import SimulatedChips
 from anamac.lowering import OutputDescriptor, conv1d_spec, gather_input_vectors
-from anamac.quant import INPUT_MAX, WEIGHT_MAX, input_scale_for, quantize_inputs, round_half_away
+from anamac.quant import INPUT_MAX, WEIGHT_MAX, input_scale_for, quantize_inputs
 from anamac.train import (
     HAR_SIGNALS,
     _EXACT_F32_ROWS,
@@ -39,6 +39,7 @@ from anamac.train import (
     stride_shift_augment,
     train_model,
 )
+from test_quant import round_half_away
 
 EXACT = ChipConfig(sigma_fixed=0.0, sigma_offset=0.0, sigma_temporal=0.0, gain=1.0)
 
@@ -92,18 +93,20 @@ def test_chip_forward_matches_software_when_noiseless():
     assert np.array_equal(y_sw, y_hw)
 
 
-def test_chip_forward_without_resources_reuses_the_global_pool():
-    reset_resources()
-    try:
-        rng = np.random.default_rng(3)
-        layer = _Bare(rng.standard_normal((40, 8)).astype(np.float32))
-        x = rng.random((2, 40)).astype(np.float32)
-        y1, _ = matmul_forward(x, layer, ForwardContext(backend="chip"))
-        y2, _ = matmul_forward(x, layer, ForwardContext(backend="chip"))
-        assert global_resources().init_count == 1
-        assert np.array_equal(y1, y2)  # same fixed pattern, same noise salt
-    finally:
-        reset_resources()
+def test_chip_context_without_resources_raises():
+    with pytest.raises(ValueError, match="SimulatedChips"):
+        ForwardContext(backend="chip")
+
+
+def test_one_pool_keeps_its_fixed_pattern_across_chip_forwards():
+    res = SimulatedChips(1)
+    rng = np.random.default_rng(3)
+    layer = _Bare(rng.standard_normal((40, 8)).astype(np.float32))
+    x = rng.random((2, 40)).astype(np.float32)
+    y1, _ = matmul_forward(x, layer, ForwardContext(backend="chip", resources=res))
+    y2, _ = matmul_forward(x, layer, ForwardContext(backend="chip", resources=res))
+    assert res.init_count == 1
+    assert np.array_equal(y1, y2)  # same fixed pattern, same noise salt
 
 
 def test_forward_rejects_unknown_backend():
