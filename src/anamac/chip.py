@@ -32,8 +32,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import typing
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -92,32 +93,35 @@ class ChipConfig:
 
 
 def load_chip_config(path) -> ChipConfig:
-    """Read a key=value config file (lines starting with # are comments)."""
-    values = _read_kv(path)
+    """Read a key=value chip config; bare names resolve to packaged configs."""
+    return _read_config(ChipConfig, path)
+
+
+def _read_config(cls, name_or_path):
+    """The dataclass ``cls`` from a key=value file (# starts a comment line).
+
+    Each key must name a field of ``cls``, and each field without a default
+    must be given; a value is cast by its field's annotated type. Every
+    violation raises ``ValueError`` naming the file and the key.
+    """
+    types = typing.get_type_hints(cls)
+    names = ", ".join(f.name for f in fields(cls))
     kwargs = {}
-    for key, cast in (
-        ("chip_seed", int),
-        ("sigma_fixed", float),
-        ("sigma_offset", float),
-        ("sigma_temporal", float),
-        ("gain", float),
-        ("hw_version", str),
-    ):
-        if key in values:
-            kwargs[key] = cast(values[key])
-    return ChipConfig(**kwargs)
-
-
-def _read_kv(path) -> dict:
-    text = _config_text(path)
-    values = {}
-    for line in text.splitlines():
+    for line in _config_text(name_or_path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    return values
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in types:
+            raise ValueError(f"{name_or_path}: unknown key {key!r}; {cls.__name__} has {names}")
+        try:
+            kwargs[key] = types[key](val)
+        except ValueError:
+            raise ValueError(f"{name_or_path}: {key} = {val!r} is not of type {types[key].__name__}") from None
+    missing = [f.name for f in fields(cls) if f.name not in kwargs and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{name_or_path}: missing key(s) {', '.join(missing)}")
+    return cls(**kwargs)
 
 
 def _config_text(name_or_path) -> str:

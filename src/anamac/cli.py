@@ -28,7 +28,9 @@ def _finite(ctx, param, value):
 
 
 def _positive_ints(ctx, param, value):
-    """A comma-separated option value as a tuple of positive ints."""
+    """A comma-separated option value as a tuple of positive ints; None stays None."""
+    if value is None:
+        return None
     try:
         ints = tuple(int(v) for v in str(value).split(","))
     except ValueError:
@@ -36,6 +38,15 @@ def _positive_ints(ctx, param, value):
     if any(v < 1 for v in ints):
         raise click.BadParameter(f"{value!r} holds an entry below 1")
     return ints
+
+
+def _chip_config(ctx, param, value):
+    if value is None:
+        return ChipConfig()
+    try:
+        return load_chip_config(value)
+    except (OSError, ValueError) as e:
+        raise click.BadParameter(f"{e} (the packaged chip config is chip_default)") from None
 
 
 def _read_array(path):
@@ -54,12 +65,13 @@ def main():
 @click.option("--weights", "weights_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--chips", default=1, type=_POSITIVE, show_default=True, help="Number of simulated chips.")
-@click.option("--chip-config", default=None, help="Chip config file or packaged name.")
+@click.option("--chip-config", "config", default=None, callback=_chip_config,
+              help="Chip config file or packaged name (chip_default).")
 @click.option("--mode", default="simulated_time", type=click.Choice(["simulated_time", "measured_time"]))
 @click.option("--trace", "trace_path", default=None, type=click.Path(), help="Write the schedule trace CSV here.")
 @click.option("--num-sends", default=_HW.num_sends, type=_POSITIVE, show_default=True)
 @click.option("--wait-between-events", default=_HW.wait_between_events, type=_POSITIVE, show_default=True)
-def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_path, num_sends, wait_between_events):
+def matmul(inputs_path, weights_path, out_path, chips, config, mode, trace_path, num_sends, wait_between_events):
     """Quantize float operands, run x @ W through the chip pipeline, dequantize."""
     x = _read_array(inputs_path).astype(np.float32)
     w = _read_array(weights_path).astype(np.float32)
@@ -68,7 +80,6 @@ def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_
     if w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise click.ClickException(f"shape mismatch: inputs {x.shape} vs weights {w.shape}")
 
-    config = load_chip_config(chip_config) if chip_config else ChipConfig()
     y, trace = training.quantized_matmul(
         x, w, SimulatedChips(chips, config), HwParams(num_sends, wait_between_events), mode=mode
     )
@@ -88,12 +99,13 @@ def matmul(inputs_path, weights_path, out_path, chips, chip_config, mode, trace_
 @click.option("--out-channels", required=True, type=int)
 @click.option("--kernel", required=True, callback=_positive_ints,
               help="Comma-separated, one entry per spatial dim.")
-@click.option("--stride", default="1", callback=_positive_ints, show_default=True)
+@click.option("--stride", default=None, callback=_positive_ints, show_default="1 on each spatial dim")
 @click.option("--extent", required=True, callback=_positive_ints,
               help="Input spatial extent(s), comma-separated.")
 @click.option("--explain", is_flag=True, help="Print the matrix layout and packing as JSON.")
 def lower_conv(dims, in_channels, out_channels, kernel, stride, extent, explain):
     """Show how a convolution lowers onto the synapse array."""
+    stride = stride or (1,) * int(dims)
     try:
         spec = lowering.ConvSpec(int(dims), in_channels, out_channels, kernel, stride, extent)
         doc = lowering.layout_to_json(spec)

@@ -11,12 +11,13 @@ salt, instance id).
 ``simulated_time`` mode runs the instances in topological order and hands
 their costs and bindings to ``perf.simulate`` with ``perf.default_timing``
 of the pool's hardware version: the one simulated clock, which the
-throughput sweeps use too and which serializes executions per chip, whose
-arrays share one link. ``measured_time`` runs the stages on worker
-threads (by default min(instances, os.cpu_count()) of them), each taking the
-next instance in topological order, and records wall-clock times. Outputs
-are bit-identical between modes and worker counts; in both, a trace row's
-bytes are ``perf.CostModel``'s.
+throughput sweeps use too, which gives every ready run its own host worker
+and serializes executions per chip, whose arrays share one link; its trace
+does not depend on ``workers``. ``measured_time`` runs the stages on
+``workers`` threads (by default min(instances, os.cpu_count())), each taking
+the next instance in topological order, and records wall-clock times.
+Outputs are bit-identical between modes and worker counts; in both, a trace
+row's bytes are ``perf.CostModel``'s.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import graph as g, perf
 from .chip import ARRAYS_PER_CHIP, Chip, ChipConfig, HwParams
-from .quant import INPUT_MAX
+from .quant import INPUT_MAX, OUTPUT_MAX, OUTPUT_MIN
 
 
 class Unavailable(RuntimeError):
@@ -123,13 +124,11 @@ def _resolve_load(graph: g.DependencyGraph, load: g.Vertex, values: dict) -> np.
 
 
 def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
-    if v.kind is g.VertexKind.ADD:
-        lo, hi = (v.payload or {}).get("clamp", (-128, 127))
+    if v.kind is g.VertexKind.ADD:  # saturating sum, re-clamped to the int8 output range
         acc = np.asarray(values[v.inputs[0]]).astype(np.int32)  # the one copy
         for src in v.inputs[1:]:
             acc += values[src]
-        out = np.clip(acc, lo, hi, out=acc)
-        return out.astype(np.int8) if lo >= -128 and hi <= 127 else out
+        return np.clip(acc, OUTPUT_MIN, OUTPUT_MAX, out=acc).astype(np.int8)
     if v.kind is g.VertexKind.CONCAT:
         axis = (v.payload or {}).get("axis", 1)
         return np.concatenate([np.asarray(values[src]) for src in v.inputs], axis=axis)
@@ -143,7 +142,8 @@ class Executor:
 
     Every chip path takes its ``SimulatedChips`` from the caller; there is no
     default pool. One pool object draws its fixed pattern once, so runs that
-    share it see the same chips.
+    share it see the same chips. ``workers`` sizes ``measured_time``'s thread
+    pool only; the simulated clock ignores it.
     """
 
     def __init__(self, resources: SimulatedChips, workers: int | None = None, seed_salt: int | tuple = 0):
@@ -152,12 +152,18 @@ class Executor:
         self.seed_salt = seed_salt
 
     def run(self, graph: g.DependencyGraph, mode: str = "simulated_time", force_serial: bool = False):
-        """Execute the graph; returns ({external_store id: ndarray}, RunTrace)."""
+        """Execute the graph; returns ({external_store id: ndarray}, RunTrace).
+
+        ``force_serial`` is a setting of the simulated clock: each instance
+        starts after the one before it has ended. ``measured_time`` rejects it.
+        """
         problems = g.validate(graph)
         if problems:
             raise g.MalformedInstance("; ".join(problems))
         if mode not in ("simulated_time", "measured_time"):
             raise ValueError(f"unknown mode {mode!r}")
+        if force_serial and mode != "simulated_time":
+            raise ValueError("force_serial sets the simulated clock; measured_time has none")
         deps = graph.instance_dependencies()
         order = g._toposort(deps)  # the one instance analysis of this run
         if mode == "simulated_time":
@@ -205,7 +211,7 @@ class Executor:
             costs[iid], _ = self._exec_instance(graph, graph.instances[iid], values, lock, time.perf_counter)
         bindings = {iid: graph.instances[iid].array_binding for iid in costs}
         timing = perf.default_timing(self.resources.config.hw_version)
-        return values, perf.simulate(costs, bindings, deps, timing, self.workers, force_serial)
+        return values, perf.simulate(costs, bindings, deps, timing, force_serial)
 
     def _run_measured(self, graph, deps, order):
         """Instances on worker threads; the trace holds wall-clock stage times."""

@@ -4,8 +4,8 @@ The row dimension is cut into maximal ranges of at most 256 (128 for signed
 weights, which occupy excitatory/inhibitory row pairs), the column dimension
 into ranges of at most 256. Tiles are enumerated row-major over
 (row_range, col_range) and bound round-robin to the available arrays. Results
-of a column stripe's row tiles are summed digitally; column stripes are
-concatenated.
+of a column stripe's row tiles are summed digitally, saturating at the int8
+output range; column stripes are concatenated.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import graph as g
 from .chip import COLS, ROWS, SIGNED_ROWS, HwParams
-from .quant import OUTPUT_MAX, OUTPUT_MIN
 
 
 class NoArrays(ValueError):
@@ -101,14 +100,13 @@ def build_graph(
     weights_q: np.ndarray,
     inputs_q: np.ndarray,
     hw_params: HwParams | None = None,
-    digital_clamp: tuple = (OUTPUT_MIN, OUTPUT_MAX),
 ) -> g.DependencyGraph:
     """Emit the dependency graph whose digital recombination reproduces x @ W.
 
     weights_q: (N, M) i8; inputs_q: (batch, N) u8. Each tile becomes one
     execution instance holding its weight block and input slice; row groups
-    are summed with saturating accumulation re-clamped to ``digital_clamp``,
-    column stripes are concatenated.
+    are summed by an ADD vertex, whose saturating sum the executor re-clamps
+    to the int8 output range; column stripes are concatenated.
     """
     weights_q = np.asarray(weights_q)
     inputs_q = np.atleast_2d(np.asarray(inputs_q))
@@ -149,11 +147,7 @@ def build_graph(
             stripe_results.append(store_of_tile[group[0]])
         else:
             stripe_results.append(
-                builder.add_vertex(
-                    g.VertexKind.ADD,
-                    payload={"clamp": tuple(digital_clamp)},
-                    inputs=tuple(store_of_tile[t] for t in group),
-                )
+                builder.add_vertex(g.VertexKind.ADD, inputs=tuple(store_of_tile[t] for t in group))
             )
     if len(stripe_results) == 1:
         final = stripe_results[0]

@@ -11,9 +11,10 @@ execution is the maximum of the wire time (all traffic over the link) and the
 on-chip event time (inputs are injected as events spaced by
 wait_between_events clock cycles, repeated num_sends times); postprocessing
 is host handling of the response bytes. ``schedule_pipeline`` lays those
-durations out as a pipelined list schedule. ``simulate`` is the one simulated
-clock, of the executor and the throughput sweeps below alike: a chip's arrays
-share its one link, so executions serialize per chip.
+durations out as a pipelined list schedule in which every ready run has its
+own host worker. ``simulate`` is the one simulated clock, of the executor and
+the throughput sweeps below alike: a chip's arrays share its one link, so
+executions serialize per chip.
 
 The encoding sizes and the calibration constants (per-run overhead, protocol
 efficiency, clock period) are not hardware truth; they were fitted once
@@ -28,7 +29,7 @@ import functools
 import io
 from dataclasses import dataclass, field
 
-from .chip import HwParams, _read_kv
+from .chip import HwParams, _read_config
 from .partition import partition_matmul
 
 
@@ -87,35 +88,20 @@ class StageTimes:
     post_end: float
 
 
-def schedule_pipeline(
-    durations: dict,
-    resource_of: dict,
-    deps: dict,
-    workers: int | None = None,
-    force_serial: bool = False,
-) -> dict:
+def schedule_pipeline(durations: dict, resource_of: dict, deps: dict, force_serial: bool = False) -> dict:
     """Deterministic list schedule of the three-stage pipeline.
 
     durations: id -> (t_pre, t_exec, t_post), listed in a topological order,
     which is the order of scheduling; resource_of: id -> hashable
     exclusive-execution key; deps: id -> iterable of ids whose results must be
-    stored first. Host workers (shared by pre and post) are limited by
-    ``workers``; None means one worker per ready instance. An instance listed
-    before one of its dependencies raises ``ValueError``.
+    stored first. Every ready instance gets its own host worker for its pre-
+    and postprocessing; ``force_serial`` starts each instance only after the
+    one listed before it has ended. An instance listed before one of its
+    dependencies raises ``ValueError``.
     """
     resource_free: dict = {}
-    worker_free = [0.0] * workers if workers else None
     schedule: dict[int, StageTimes] = {}
     prev_end = 0.0
-
-    def take_worker(ready: float, duration: float) -> tuple:
-        if worker_free is None:
-            return ready, ready + duration
-        idx = min(range(len(worker_free)), key=lambda w: (worker_free[w], w))
-        start = max(ready, worker_free[idx])
-        worker_free[idx] = start + duration
-        return start, start + duration
-
     for iid, (t_pre, t_exec, t_post) in durations.items():
         ready = 0.0
         for d in deps.get(iid, ()):
@@ -124,13 +110,13 @@ def schedule_pipeline(
             ready = max(ready, schedule[d].post_end)
         if force_serial:
             ready = max(ready, prev_end)
-        pre_s, pre_e = take_worker(ready, t_pre)
+        pre_e = ready + t_pre
         key = resource_of[iid]
         exec_s = max(pre_e, resource_free.get(key, 0.0))
         exec_e = exec_s + t_exec
         resource_free[key] = exec_e
-        post_s, post_e = take_worker(exec_e, t_post)
-        schedule[iid] = StageTimes(pre_s, pre_e, exec_s, exec_e, post_s, post_e)
+        post_e = exec_e + t_post
+        schedule[iid] = StageTimes(ready, pre_e, exec_s, exec_e, exec_e, post_e)
         prev_end = post_e
     return schedule
 
@@ -186,14 +172,7 @@ class LinkBudget:
 
 def load_link_config(name_or_path) -> LinkBudget:
     """Read a key=value link budget file; bare names resolve to packaged configs."""
-    values = _read_kv(name_or_path)
-    return LinkBudget(
-        bandwidth_bps=float(values["bandwidth_bps"]),
-        per_run_overhead_s=float(values["per_run_overhead_s"]),
-        protocol_efficiency=float(values["protocol_efficiency"]),
-        clock_period_s=float(values["clock_period_s"]),
-        host_byte_time_s=float(values["host_byte_time_s"]),
-    )
+    return _read_config(LinkBudget, name_or_path)
 
 
 class CostTiming:
@@ -221,17 +200,15 @@ class CostTiming:
         return pre, exec_, link.host_byte_time_s * response
 
 
-def simulate(
-    costs: dict, bindings: dict, deps: dict, timing: CostTiming, workers: int | None = None, force_serial: bool = False
-) -> RunTrace:
+def simulate(costs: dict, bindings: dict, deps: dict, timing: CostTiming, force_serial: bool = False) -> RunTrace:
     """The simulated clock: chip runs timed by ``timing`` and scheduled, executions serialized per chip.
 
     costs: id -> InstanceCost, listed in a topological order; bindings: id ->
-    (chip, array); deps, workers and force_serial as in ``schedule_pipeline``.
+    (chip, array); deps and force_serial as in ``schedule_pipeline``.
     """
     durations = {iid: timing.durations(c) for iid, c in costs.items()}
     chip_of = {iid: bindings[iid][0] for iid in costs}  # the chip's one link
-    schedule = schedule_pipeline(durations, chip_of, deps, workers, force_serial)
+    schedule = schedule_pipeline(durations, chip_of, deps, force_serial)
     return RunTrace([TraceRow(iid, schedule[iid], timing.cost.stage_bytes(c)) for iid, c in costs.items()])
 
 

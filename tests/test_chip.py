@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 import tracemalloc
 
@@ -477,6 +478,23 @@ def test_load_chip_config_packaged_and_file(tmp_path):
     assert custom.sigma_temporal == 0.5
     assert custom.gain == 0.5
     assert custom.sigma_fixed == ChipConfig().sigma_fixed  # defaults kept
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sigma_temporl = 0\n", "unknown key 'sigma_temporl'; ChipConfig has chip_seed, sigma_fixed, "),
+    ("chip_seed = 1.5\n", "chip_seed = '1.5' is not of type int"),
+    ("gain\n", "gain = '' is not of type float"),
+])
+def test_load_chip_config_rejects_a_bad_line(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_chip_config(str(path))
+
+
+def test_load_chip_config_rejects_a_link_config():
+    with pytest.raises(ValueError, match="link_8g: unknown key 'bandwidth_bps'"):
+        load_chip_config("link_8g")
 
 
 _EARLIER_DRAWS = {  # the uint16 draws of size 1 or 2 (mod 4) and the uint32 one leave half a word buffered

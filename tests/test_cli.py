@@ -11,7 +11,7 @@ from anamac import cli
 from anamac.cli import main
 from anamac.executor import SimulatedChips
 from anamac.train import ForwardContext, matmul_forward
-from anamac.tensor import read_tensor, tensor, write_tensor
+from anamac.tensor import read_tensor, tensor, write_csv, write_tensor
 
 
 def test_matmul_command(tmp_path):
@@ -64,6 +64,40 @@ def test_matmul_command_equals_chip_forward(tmp_path):
     y_layer, _ = matmul_forward(x, _Bare(w), ForwardContext(backend="chip", resources=resources))
     assert y_cli.dtype == y_layer.dtype == np.float32
     assert y_cli.tobytes() == y_layer.tobytes()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [("nope", "No such file"), ("link_8g", "unknown key 'bandwidth_bps'"), ("typo", "unknown key 'sigma_temporl'")],
+)
+def test_matmul_reports_a_bad_chip_config_as_a_usage_error(tmp_path, source, message):
+    write_tensor(tensor(np.ones((2, 3), dtype=np.float32)), tmp_path / "x.tns")
+    write_tensor(tensor(np.ones((3, 2), dtype=np.float32)), tmp_path / "w.tns")
+    if source == "typo":
+        source = str(tmp_path / "typo.cfg")
+        (tmp_path / "typo.cfg").write_text("sigma_temporl = 0\n")
+    result = CliRunner().invoke(
+        main,
+        ["matmul", "--inputs", str(tmp_path / "x.tns"), "--weights", str(tmp_path / "w.tns"),
+         "--out", str(tmp_path / "y.tns"), "--chip-config", source],
+    )
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--chip-config'" in result.output
+    assert message in result.output and "chip_default" in result.output
+    assert not (tmp_path / "y.tns").exists()
+
+
+def test_matmul_packaged_chip_config_is_the_default(tmp_path):
+    write_csv(tensor(np.array([[0.25, 0.5], [1.0, 0.0]], dtype=np.float32)), tmp_path / "x.csv")
+    write_csv(tensor(np.array([[0.5, -1.0], [1.0, 0.25]], dtype=np.float32)), tmp_path / "w.csv")
+    outputs = []
+    for extra in ([], ["--chip-config", "chip_default"]):
+        out = tmp_path / f"y{len(extra)}.tns"
+        args = ["matmul", "--inputs", str(tmp_path / "x.csv"), "--weights", str(tmp_path / "w.csv"), "--out", str(out)]
+        result = CliRunner().invoke(main, args + extra)
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_matmul_shape_mismatch(tmp_path):
@@ -169,6 +203,17 @@ def test_matmul_hardware_defaults_are_hw_params(monkeypatch):
     finally:
         monkeypatch.undo()
         importlib.reload(cli)
+
+
+def test_lower_conv_default_stride_is_one_on_every_dim():
+    args = ["lower-conv", "--dims", "2", "--in-channels", "1", "--out-channels", "2", "--kernel", "3,3",
+            "--extent", "10,10"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.output == "matrix 9x2, 64 output position(s)\n"
+    result = CliRunner().invoke(main, [*args, "--stride", "2"])
+    assert result.exit_code == 2, result.output
+    assert "one entry per spatial dim" in result.output
 
 
 def test_lower_conv_explain():

@@ -87,15 +87,6 @@ def test_dependencies_delay_preprocessing():
     assert sched[1].pre_start >= sched[0].post_end
 
 
-def test_limited_workers_serialize_host_stages():
-    durations = {i: (2.0, 0.5, 0.5) for i in range(4)}
-    resource_of = {i: i for i in range(4)}
-    deps = {i: () for i in range(4)}
-    unlimited = schedule_pipeline(durations, resource_of, deps)
-    one = schedule_pipeline(durations, resource_of, deps, workers=1)
-    assert max(t.post_end for t in one.values()) > max(t.post_end for t in unlimited.values())
-
-
 def test_force_serial_is_slower():
     durations = {i: (1.0, 2.0, 1.0) for i in range(3)}
     resource_of = {i: i % 2 for i in range(3)}
@@ -121,10 +112,10 @@ def _pipelines(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_pipelines(), st.sampled_from([None, 1, 2]), st.booleans())
-def test_schedule_pipeline_properties(pipeline, workers, force_serial):
+@given(_pipelines(), st.booleans())
+def test_schedule_pipeline_properties(pipeline, force_serial):
     durations, resource_of, deps = pipeline
-    sched = schedule_pipeline(durations, resource_of, deps, workers, force_serial)
+    sched = schedule_pipeline(durations, resource_of, deps, force_serial=force_serial)
     assert list(sched) == list(durations)
     for iid, t in sched.items():
         assert t.pre_start <= t.pre_end <= t.exec_start <= t.exec_end <= t.post_start <= t.post_end
@@ -134,7 +125,7 @@ def test_schedule_pipeline_properties(pipeline, workers, force_serial):
         assert all(end <= start for (_, end), (start, _) in zip(runs, runs[1:]))
     if any(deps.values()):
         with pytest.raises(ValueError, match="listed before its dependency"):
-            schedule_pipeline(dict(reversed(durations.items())), resource_of, deps, workers, force_serial)
+            schedule_pipeline(dict(reversed(durations.items())), resource_of, deps, force_serial=force_serial)
 
 
 # -- one simulated clock ---------------------------------------------------
@@ -150,6 +141,26 @@ def test_executor_makespan_is_the_sweeps_makespan(n, batch):
     graph = build_graph(plan, w, x, hw_params=HwParams(1, 1))
     _, trace = Executor(SimulatedChips(1, NOISELESS)).run(graph)
     assert trace.makespan == pytest.approx(batch * n * n / perf.mac_rate(n, n, batch, "sim_8g"), rel=1e-12)
+
+
+def test_simulated_trace_is_independent_of_workers():
+    """``workers`` sizes only measured_time's thread pool: the clock gives every ready run its own host worker."""
+    rng = np.random.default_rng(28)
+    w = rng.integers(-63, 64, size=(1000, 1000)).astype(np.int8)
+    x = rng.integers(0, 32, size=(256, 1000)).astype(np.uint8)
+    res = SimulatedChips(2)
+    graph = build_graph(partition_matmul(1000, 1000, signed=True, arrays=res.array_bindings()), w, x)
+    traces = [Executor(res, workers=k).run(graph)[1] for k in (None, 1, 2, 4)]
+    assert len({t.to_csv() for t in traces}) == 1
+    costs = {}
+    for iid in g._toposort(graph.instance_dependencies()):
+        block = graph.vertices[graph.instances[iid].vertex_ids[1]].payload["weights"]
+        costs[iid] = InstanceCost(2 * block.shape[0], block.shape[1], 256, HwParams())
+    bindings = {iid: inst.array_binding for iid, inst in graph.instances.items()}
+    timing = perf.default_timing(res.config.hw_version)
+    expected = perf.simulate(costs, bindings, graph.instance_dependencies(), timing)
+    assert traces[0].makespan == expected.makespan
+    assert traces[0].to_csv() == expected.to_csv()
 
 
 def test_executions_serialize_per_chip():
@@ -180,6 +191,12 @@ def test_simulated_and_measured_outputs_are_bit_identical():
         assert np.array_equal(out_sim[vid], out_meas[vid])
     assert trace_sim.makespan > 0
     assert trace_meas.makespan > 0
+
+
+def test_force_serial_is_a_setting_of_the_simulated_clock():
+    graph, _, _ = _simple_graph(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="force_serial"):
+        Executor(SimulatedChips(1, NOISELESS)).run(graph, mode="measured_time", force_serial=True)
 
 
 def test_outputs_independent_of_worker_count():

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from anamac import perf
+from anamac import chip, perf
 from anamac.chip import HwParams
 
 
@@ -13,6 +15,23 @@ def test_link_configs_load_and_validate():
     # frozen calibration constants are shared between both budgets
     assert one.per_run_overhead_s == eight.per_run_overhead_s
     assert one.clock_period_s == eight.clock_period_s
+
+
+def test_packaged_link_configs_keep_their_values():
+    assert perf.load_link_config("link_1g") == perf.LinkBudget(1e9, 8e-4, 1.0, 1.6e-8, 5e-11)
+    assert perf.load_link_config("link_8g") == perf.LinkBudget(8e9, 8e-4, 1.0, 1.6e-8, 5e-11)
+
+
+@pytest.mark.parametrize("drop, add, message", [
+    (None, "wait = 1\n", "unknown key 'wait'; LinkBudget has bandwidth_bps, "),
+    ("clock_period_s", "", "missing key(s) clock_period_s"),
+])
+def test_load_link_config_is_strict(tmp_path, drop, add, message):
+    lines = [line for line in chip._config_text("link_8g").splitlines(keepends=True) if not drop or drop not in line]
+    path = tmp_path / "link.cfg"
+    path.write_text("".join(lines) + add)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        perf.load_link_config(str(path))
 
 
 def test_link_budget_invariants():
