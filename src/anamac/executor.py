@@ -8,16 +8,18 @@ without mutual dependencies may overlap; numerics are independent of the
 schedule because each instance owns an RNG stream keyed by (chip_seed,
 salt, instance id).
 
-``simulated_time`` mode runs the instances in topological order and hands
-their costs and bindings to ``perf.simulate`` with ``perf.default_timing``
-of the pool's hardware version: the one simulated clock, which the
-throughput sweeps use too, which gives every ready run its own host worker
-and serializes executions per chip, whose arrays share one link; its trace
-does not depend on ``workers``. ``measured_time`` runs the stages on
-``workers`` threads (by default min(instances, os.cpu_count())), each taking
-the next instance in topological order, and records wall-clock times.
-Outputs are bit-identical between modes and worker counts; in both, a trace
-row's bytes are ``perf.CostModel``'s.
+One driver runs the instances of both modes, taking them in topological
+order: on the caller's thread in ``simulated_time``, which starts no thread,
+and on ``workers`` threads (by default min(instances, os.cpu_count())) in
+``measured_time``. Once an instance fails no further one is taken, a dependent
+of a failed instance is skipped, and the failure earliest in topological order
+is raised. ``simulated_time`` hands the costs and bindings to ``perf.simulate``
+with ``perf.default_timing`` of the pool's hardware version: the one simulated
+clock, which the throughput sweeps use too, which gives every ready run its own
+host worker and serializes executions per chip, whose arrays share one link;
+its trace does not depend on ``workers``. ``measured_time`` records wall-clock
+stage times. Outputs are bit-identical between modes and worker counts; in
+both, a trace row's bytes are ``perf.CostModel``'s.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .quant import INPUT_MAX, OUTPUT_MAX, OUTPUT_MIN
 
 
 class Unavailable(RuntimeError):
-    pass
-
-
-class DeadlockDetected(RuntimeError):
     pass
 
 
@@ -85,20 +83,6 @@ def instance_rng(config: ChipConfig, instance_id: int, salt: int | tuple = 0) ->
     return np.random.default_rng([config.chip_seed, 7, *salt, instance_id])
 
 
-def _instance_parts(graph: g.DependencyGraph, inst: g.ExecutionInstance):
-    load = matrix = None
-    for vid in inst.vertex_ids:
-        v = graph.vertices[vid]
-        if v.kind is g.VertexKind.EXTERNAL_LOAD:
-            load = v
-        elif v.kind is g.VertexKind.SYNAPSE_MATRIX:
-            matrix = v
-    store = graph.vertices[inst.vertex_ids[-1]]
-    if load is None or matrix is None:
-        raise g.MalformedInstance(f"instance {inst.id} lacks a load or synapse matrix")
-    return load, matrix, store
-
-
 def _vertex_value(graph: g.DependencyGraph, vid: int, values: dict) -> np.ndarray:
     """Value of a vertex, computing host-side digital nodes on demand."""
     if vid in values:
@@ -113,14 +97,11 @@ def _vertex_value(graph: g.DependencyGraph, vid: int, values: dict) -> np.ndarra
 
 
 def _resolve_load(graph: g.DependencyGraph, load: g.Vertex, values: dict) -> np.ndarray:
-    payload = load.payload or {}
-    if "data" in payload:
-        return np.atleast_2d(np.asarray(payload["data"]))
-    if "source" in payload:
-        # host-side range adaptation of stored i8 activations to the u5 domain
-        src = np.atleast_2d(np.asarray(_vertex_value(graph, payload["source"], values)))
-        return np.clip(src, 0, INPUT_MAX)
-    raise g.MalformedInstance(f"external load {load.id} carries neither data nor source")
+    if "data" in load.payload:
+        return np.atleast_2d(np.asarray(load.payload["data"]))
+    # host-side range adaptation of stored i8 activations to the u5 domain
+    src = np.atleast_2d(np.asarray(_vertex_value(graph, load.payload["source"], values)))
+    return np.clip(src, 0, INPUT_MAX)
 
 
 def _digital_value(v: g.Vertex, values: dict) -> np.ndarray:
@@ -142,11 +123,14 @@ class Executor:
 
     Every chip path takes its ``SimulatedChips`` from the caller; there is no
     default pool. One pool object draws its fixed pattern once, so runs that
-    share it see the same chips. ``workers`` sizes ``measured_time``'s thread
-    pool only; the simulated clock ignores it.
+    share it see the same chips. ``workers``, None or an int >= 1, sizes
+    ``measured_time``'s thread pool only; the simulated clock ignores it. Both
+    modes run the instances through one driver with one failure rule.
     """
 
     def __init__(self, resources: SimulatedChips, workers: int | None = None, seed_salt: int | tuple = 0):
+        if workers is not None and not (isinstance(workers, int) and workers >= 1):
+            raise ValueError(f"workers must be None or an int >= 1, not {workers!r}")
         self.resources = resources
         self.workers = workers
         self.seed_salt = seed_salt
@@ -166,22 +150,82 @@ class Executor:
             raise ValueError("force_serial sets the simulated clock; measured_time has none")
         deps = graph.instance_dependencies()
         order = g._toposort(deps)  # the one instance analysis of this run
-        if mode == "simulated_time":
-            values, trace = self._run_simulated(graph, deps, order, force_serial)
-        else:
-            values, trace = self._run_measured(graph, deps, order)
+        values, done = self._drive(graph, deps, order, threaded=mode == "measured_time")
         for vid, v in graph.vertices.items():
             if v.kind in g.DIGITAL_KINDS:  # every one, so an unused vertex's error surfaces too
                 _vertex_value(graph, vid, values)
+        costs = {iid: done[iid][0] for iid in order}
+        hw_version = self.resources.config.hw_version
+        if mode == "simulated_time":
+            bindings = {iid: graph.instances[iid].array_binding for iid in order}
+            trace = perf.simulate(costs, bindings, deps, perf.default_timing(hw_version), force_serial)
+        else:
+            model = perf.CostModel(hw_version)
+            rows = [perf.TraceRow(iid, done[iid][1], model.stage_bytes(costs[iid])) for iid in order]
+            trace = perf.RunTrace(rows)
         return {vid: values[vid] for vid in graph.outputs()}, trace
+
+    def _drive(self, graph, deps, order, threaded):
+        """Run the instances, taken in topological order, on the caller's thread
+        or, if ``threaded``, on ``workers`` threads (by default min(instances,
+        os.cpu_count())). Returns (values, {instance id: (InstanceCost, StageTimes)}).
+
+        Once an instance fails no further one is taken; those already taken
+        finish, and a dependent of a failed instance is skipped. The failure
+        earliest in topological order is raised. Every dependency of a taken
+        instance was taken before it, so a wait cannot starve.
+        """
+        values: dict = {}
+        done: dict = {}
+        errors: dict = {}  # topological position -> exception
+        finished = {iid: threading.Event() for iid in order}
+        jobs = enumerate(order)
+        lock = threading.Lock()  # guards jobs, values and errors
+        t0 = time.perf_counter()
+
+        def clock():
+            return time.perf_counter() - t0
+
+        def drain():
+            while True:
+                with lock:
+                    pos, iid = (None, None) if errors else next(jobs, (None, None))
+                if iid is None:
+                    return
+                try:
+                    for d in deps[iid]:
+                        finished[d].wait()
+                    if all(d in done for d in deps[iid]):  # else a dependency failed or was skipped
+                        done[iid] = self._exec_instance(graph, graph.instances[iid], values, lock, clock)
+                except BaseException as e:
+                    with lock:
+                        errors[pos] = e
+                finally:
+                    finished[iid].set()
+
+        if threaded:
+            n_workers = self.workers or min(max(len(order), 1), os.cpu_count() or 1)
+            threads = [threading.Thread(target=drain, name=f"anamac-worker-{i}") for i in range(n_workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        else:
+            drain()  # simulated_time starts no thread
+        if errors:
+            raise errors[min(errors)]
+        return values, done
 
     def _exec_instance(self, graph, inst, values, lock, clock):
         """Run one instance; ``lock`` guards ``values``, ``clock`` stamps the stages.
 
-        Returns (InstanceCost, (pre_start, exec_start, exec_end, post_end)).
+        Returns (InstanceCost, StageTimes).
         """
         pre_s = clock()
-        load, matrix, store = _instance_parts(graph, inst)
+        # graph.validate found exactly one load and one matrix in the instance
+        parts = {graph.vertices[vid].kind: graph.vertices[vid] for vid in inst.vertex_ids}
+        load, matrix = parts[g.VertexKind.EXTERNAL_LOAD], parts[g.VertexKind.SYNAPSE_MATRIX]
+        store = graph.vertices[inst.vertex_ids[-1]]
         with lock:
             x = _resolve_load(graph, load, values)
         payload = matrix.payload
@@ -200,71 +244,4 @@ class Executor:
         with lock:
             values[store.id] = y[:, :cols]
         cost = perf.InstanceCost(rows, cols, x.shape[0], hw_params)
-        return cost, (pre_s, exec_s, exec_e, clock())
-
-    def _run_simulated(self, graph, deps, order, force_serial):
-        """Sequential numerics in topological order, then ``perf.simulate``'s virtual clock."""
-        values: dict = {}
-        costs: dict = {}  # in topological order
-        lock = threading.Lock()
-        for iid in order:
-            costs[iid], _ = self._exec_instance(graph, graph.instances[iid], values, lock, time.perf_counter)
-        bindings = {iid: graph.instances[iid].array_binding for iid in costs}
-        timing = perf.default_timing(self.resources.config.hw_version)
-        return values, perf.simulate(costs, bindings, deps, timing, force_serial)
-
-    def _run_measured(self, graph, deps, order):
-        """Instances on worker threads; the trace holds wall-clock stage times."""
-        done = {iid: threading.Event() for iid in graph.instances}
-        values: dict = {}
-        costs: dict = {}
-        times: dict = {}
-        lock = threading.Lock()
-        t0 = time.perf_counter()
-
-        def clock():
-            return time.perf_counter() - t0
-
-        def worker(iid):
-            try:
-                for d in deps[iid]:
-                    if not done[d].wait(timeout=60.0):
-                        raise DeadlockDetected(f"instance {iid} starved waiting for {d}")
-                    if d not in costs:
-                        return  # the dependency failed; its own error is raised
-                costs[iid], (pre_s, exec_s, exec_e, post_e) = self._exec_instance(
-                    graph, graph.instances[iid], values, lock, clock
-                )
-                times[iid] = perf.StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, post_e)
-            finally:
-                done[iid].set()
-
-        # threads take instances in topological order, so every dependency of a
-        # running instance has been taken already: capped workers cannot starve
-        jobs = enumerate(order)
-        take = threading.Lock()
-        errors: dict = {}  # topological position -> exception
-
-        def drain():
-            while True:
-                with take:
-                    job = next(jobs, None)
-                if job is None:
-                    return
-                try:
-                    worker(job[1])
-                except BaseException as e:
-                    errors[job[0]] = e
-
-        n_workers = self.workers or min(max(len(graph.instances), 1), os.cpu_count() or 1)
-        threads = [threading.Thread(target=drain, name=f"anamac-worker-{i}") for i in range(n_workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[min(errors)]
-        model = perf.CostModel(self.resources.config.hw_version)
-        rows = [perf.TraceRow(iid, times[iid], model.stage_bytes(c)) for iid, c in costs.items()]
-        return values, perf.RunTrace(rows)
-
+        return cost, perf.StageTimes(pre_s, exec_s, exec_s, exec_e, exec_e, clock())

@@ -148,8 +148,6 @@ class GraphBuilder:
                 raise KindMismatch(f"{kind.value} cannot be fed by {src_kind.value}")
         if kind in _PAYLOAD_REQUIRED and payload is None:
             raise KindMismatch(f"{kind.value} requires a payload")
-        if kind is VertexKind.EXTERNAL_LOAD and inputs:
-            raise KindMismatch("external_load is a source vertex and takes no inputs")
         self._vertices[vertex_id] = Vertex(vertex_id, kind, payload, tuple(inputs))
         self._next_id = max(self._next_id, vertex_id) + 1
         return vertex_id
@@ -181,21 +179,31 @@ def validate(graph: DependencyGraph) -> list:
     except CycleDetected as e:
         problems.append(f"CycleDetected: {e}")
 
-    # dangling edges
+    # every edge: defined, and of a kind the consumer admits
     for v in graph.vertices.values():
         for src in v.inputs:
             if src not in graph.vertices:
                 problems.append(f"UseBeforeDef: vertex {v.id} references missing {src}")
+            elif (src_kind := graph.vertices[src].kind) not in _ALLOWED_INPUTS[v.kind]:
+                problems.append(f"KindMismatch: {v.kind.value} {v.id} cannot be fed by {src_kind.value} {src}")
+        if v.kind is VertexKind.EXTERNAL_LOAD:  # data, or a stored or digital value to read
+            payload = v.payload or {}
+            source = graph.vertices.get(payload.get("source"))
+            if "data" not in payload and getattr(source, "kind", None) not in _ALLOWED_INPUTS[VertexKind.ADD]:
+                problems.append(f"KindMismatch: external_load {v.id} carries neither data nor a stored source")
 
     # per-instance shape
     for inst in graph.instances.values():
+        missing = [vid for vid in inst.vertex_ids if vid not in graph.vertices]
+        if missing:
+            problems.append(f"UseBeforeDef: instance {inst.id} references missing {missing}")
         kinds = [graph.vertices[vid].kind for vid in inst.vertex_ids if vid in graph.vertices]
-        n_matrix = kinds.count(VertexKind.SYNAPSE_MATRIX)
-        n_digitize = kinds.count(VertexKind.DIGITIZE)
-        if n_matrix != 1 or n_digitize != 1:
+        one_each = (VertexKind.EXTERNAL_LOAD, VertexKind.SYNAPSE_MATRIX, VertexKind.DIGITIZE)
+        counts = [kinds.count(k) for k in one_each]
+        if counts != [1, 1, 1]:
             problems.append(
-                f"MalformedInstance: instance {inst.id} holds {n_matrix} synapse matrices "
-                f"and {n_digitize} digitize vertices (expected exactly one of each)"
+                f"MalformedInstance: instance {inst.id} holds {counts[0]} external loads, {counts[1]} synapse "
+                f"matrices and {counts[2]} digitize vertices (expected exactly one of each)"
             )
         if kinds and kinds[-1] not in (VertexKind.STORE, VertexKind.EXTERNAL_STORE):
             problems.append(f"MalformedInstance: instance {inst.id} does not end in a store")

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -310,7 +311,7 @@ def test_unsigned_block_rejects_negative_weights(mode):
 
 
 def test_failing_instance_does_not_stall_its_dependents():
-    """Dependents of a failed instance return at once instead of timing out after 60 s."""
+    """In both modes, dependents of a failed instance are skipped at once, not left waiting on it."""
     b = g.GraphBuilder()
     one = np.array([[1]], dtype=np.int8)
     failed = _chain(b, np.array([[200]], dtype=np.int16), data=np.array([[1]], dtype=np.uint8))
@@ -320,17 +321,39 @@ def test_failing_instance_does_not_stall_its_dependents():
         stores.append(_chain(b, one, source=stores[-1], binding=(0, 1)))
     for s in stores:
         b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(s,))
+    for mode in ("simulated_time", "measured_time"):
+        res = SimulatedChips(1, NOISELESS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(WeightOutOfRange, match=r"weights must lie in \[-63, 63\]"):
+                Executor(res, workers=4).run(b.build(), mode=mode)
+            assert time.perf_counter() - start < 5.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not res.array((0, 1)).ownership_log, mode  # no dependent touched its array
+
+
+@pytest.mark.parametrize("mode", ["simulated_time", "measured_time"])
+def test_no_instance_is_taken_after_a_failure(mode):
+    """The first instance fails; the independent second one is never taken, in either mode."""
+    b = g.GraphBuilder()
+    one = np.array([[1]], dtype=np.uint8)
+    for weights, binding in ((np.array([[64]], dtype=np.int16), (0, 0)), (np.array([[1]], dtype=np.int8), (0, 1))):
+        b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(_chain(b, weights, data=one, binding=binding),))
     res = SimulatedChips(1, NOISELESS)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        start = time.perf_counter()
-        with pytest.raises(WeightOutOfRange, match=r"weights must lie in \[-63, 63\]"):
-            Executor(res, workers=4).run(b.build(), mode="measured_time")
-        assert time.perf_counter() - start < 5.0
-    finally:
-        sys.setswitchinterval(interval)
-    assert not res.array((0, 1)).ownership_log  # no dependent touched its array
+    with pytest.raises(WeightOutOfRange):
+        Executor(res, workers=1).run(b.build(), mode=mode)
+    assert res.array((0, 0)).ownership_log
+    assert not res.array((0, 1)).ownership_log
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
+def test_workers_must_be_none_or_a_positive_int(workers):
+    """0 used to mean the default, -1 to run nothing, and 2.5 to fail only when the threads started."""
+    with pytest.raises(ValueError, match="workers must be None or an int >= 1"):
+        Executor(SimulatedChips(1), workers=workers)
 
 
 def test_validate_rejects_a_signed_block_over_the_row_pair_cap():
@@ -345,6 +368,39 @@ def test_validate_rejects_a_signed_block_over_the_row_pair_cap():
     with pytest.raises(g.MalformedInstance, match="signed synapse matrix"):
         Executor(res).run(b.build())
     assert not res.array((0, 0)).ownership_log
+
+
+def test_validate_rejects_a_digital_vertex_fed_by_a_load():
+    """A JSON graph whose ADD reads an external load used to run every instance, then end in a KeyError."""
+    plan = partition_matmul(300, 4, signed=True, arrays=[(0, 0), (0, 1)])
+    graph = build_graph(plan, np.ones((300, 4), np.int8), np.ones((1, 300), np.uint8))
+    assert len(graph.instances) == 3
+    doc = json.loads(g.to_json(graph))
+    load = next(v["id"] for v in doc["vertices"] if v["kind"] == "external_load")
+    add = next(v for v in doc["vertices"] if v["kind"] == "add")
+    add["inputs"][0] = load
+    res = SimulatedChips(1, NOISELESS)
+    with pytest.raises(g.MalformedInstance, match=f"add {add['id']} cannot be fed by external_load {load}"):
+        Executor(res).run(g.from_json(json.dumps(doc)))
+    assert not any(a.ownership_log for a in res.chips[0].arrays)
+
+
+def test_validate_rejects_an_instance_without_a_load():
+    """An instance without a load used to fail only after instance 0 had run on array (0, 0)."""
+    b = g.GraphBuilder()
+    one = np.array([[1]], dtype=np.uint8)
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(_chain(b, one.astype(np.int8), data=one),))
+    load = b.add_vertex(g.VertexKind.EXTERNAL_LOAD, payload={"data": one})
+    matrix = b.add_vertex(g.VertexKind.SYNAPSE_MATRIX, payload={"weights": one.astype(np.int8)}, inputs=(load,))
+    neurons = b.add_vertex(g.VertexKind.NEURONS, inputs=(matrix,))
+    digitize = b.add_vertex(g.VertexKind.DIGITIZE, inputs=(neurons,))
+    store = b.add_vertex(g.VertexKind.STORE, inputs=(digitize,))
+    b.add_instance((matrix, neurons, digitize, store), (0, 1))  # the load is left out
+    b.add_vertex(g.VertexKind.EXTERNAL_STORE, inputs=(store,))
+    res = SimulatedChips(1, NOISELESS)
+    with pytest.raises(g.MalformedInstance, match="instance 1 holds 0 external loads"):
+        Executor(res).run(b.build())
+    assert not any(a.ownership_log for a in res.chips[0].arrays)
 
 
 def test_noise_depends_on_instance_not_schedule():
@@ -439,8 +495,9 @@ def test_measured_run_starts_the_requested_workers(monkeypatch, workers):
 
 
 def test_earliest_failure_in_topological_order_is_raised(monkeypatch):
-    """Two independent instances fail; the error raised is the one earlier in
-    topological order, although the later one fails first in wall-clock time."""
+    """Two independent instances fail; in both modes the error raised is the one
+    earlier in topological order, although with two threads the later one fails
+    first in wall-clock time."""
     b = g.GraphBuilder()
     one = np.array([[1]], dtype=np.uint8)
     for weights, binding in ((np.array([[64]], dtype=np.int16), (0, 0)), (np.array([[-1]], dtype=np.int8), (0, 1))):
@@ -456,8 +513,9 @@ def test_earliest_failure_in_topological_order_is_raised(monkeypatch):
         return real_configure(array, block, signed)
 
     monkeypatch.setattr(chip.SynapseArray, "configure", configure)
-    with pytest.raises(WeightOutOfRange, match=r"^weights must lie in \[-63, 63\]"):
-        Executor(SimulatedChips(1, NOISELESS), workers=2).run(graph, mode="measured_time")
+    for mode in ("simulated_time", "measured_time"):
+        with pytest.raises(WeightOutOfRange, match=r"^weights must lie in \[-63, 63\]"):
+            Executor(SimulatedChips(1, NOISELESS), workers=2).run(graph, mode=mode)
 
 
 def test_importing_the_package_leaves_out_concurrent_futures():

@@ -55,6 +55,29 @@ def test_validate_catches_malformed_instance():
     assert any("MalformedInstance" in p for p in problems)
 
 
+def test_validate_requires_a_load_to_carry_data_or_a_stored_source():
+    b = g.GraphBuilder()
+    store = _chain(b, data=np.zeros((1, 2), dtype=np.uint8))
+    _chain(b, source=store - 1)  # the first instance's digitize vertex holds no value
+    _chain(b, source=None)
+    problems = g.validate(b.build())
+    assert [p for p in problems if "neither data" in p] == [
+        "KindMismatch: external_load 5 carries neither data nor a stored source",
+        "KindMismatch: external_load 10 carries neither data nor a stored source",
+    ]
+    b = g.GraphBuilder()
+    _chain(b, source=_chain(b, data=np.zeros((1, 2), dtype=np.uint8)))
+    assert g.validate(b.build()) == []
+
+
+def test_validate_catches_an_instance_vertex_that_is_missing():
+    b = g.GraphBuilder()
+    _chain(b, data=np.zeros((1, 2), dtype=np.uint8))
+    graph = b.build()
+    graph.instances[0].vertex_ids = (99, *graph.instances[0].vertex_ids)
+    assert g.validate(graph) == ["UseBeforeDef: instance 0 references missing [99]"]
+
+
 def test_validate_catches_oversize_block():
     b = g.GraphBuilder()
     store = _chain(b, data=np.zeros((1, 2), dtype=np.uint8))
